@@ -3,7 +3,11 @@
 Model code builds values through the primitives below; every call appends
 one entry to a :class:`Tape` (the computation record).  ``Tape.backward``
 replays the record once in reverse, accumulating gradients into the
-:class:`Parameter` leaves registered through ``Tape.watch``.
+:class:`Parameter` leaves registered through ``Tape.watch``.  The model's
+blocks are fused primitives (``mlp``, ``gated_mix``), one entry each, so a
+document's record stays short.  A tape made with ``record=False`` keeps
+no record: scoring runs on one and frees each intermediate as soon as
+nothing reads it.
 
 All primitives accept both single vectors (1-D) and row-batched matrices
 (2-D), so a whole document's mention pairs can be pushed through the model
@@ -53,7 +57,7 @@ class Parameter:
 
 
 class Node:
-    """One recorded value; ``grad`` is filled lazily during backward."""
+    """One recorded value; ``grad`` holds its gradient only while backward passes it on."""
 
     __slots__ = ("value", "grad", "tape", "_backward")
 
@@ -98,9 +102,15 @@ class Tape:
 
     Single-writer: do not record onto or backward the same tape from two
     threads.  A tape is consumed by ``backward`` and cannot be reused.
+
+    Every recorded node points back at its tape, so a recording tape is a
+    reference cycle until ``release`` drops the record.  With
+    ``record=False`` the tape keeps nothing: no record, no backward
+    closures, no watched leaves, and ``backward`` raises.
     """
 
-    def __init__(self):
+    def __init__(self, record=True):
+        self.recording = record
         self._record = []
         self._watched = {}
         self.params = []
@@ -112,6 +122,8 @@ class Tape:
 
     def watch(self, param):
         """Register a Parameter; repeated watches return the same leaf."""
+        if not self.recording:
+            return Node(param.value, self)
         node = self._watched.get(id(param))
         if node is None:
             node = self._append(param.value, lambda g, p=param: np.add(p.grad, g, out=p.grad))
@@ -121,9 +133,16 @@ class Tape:
 
     def _append(self, value, backward):
         node = Node(value, self)
-        node._backward = backward
-        self._record.append(node)
+        if self.recording:
+            node._backward = backward
+            self._record.append(node)
         return node
+
+    def release(self):
+        """Drop the record, so reference counting frees the tape and its nodes."""
+        self._record = []
+        self._watched = {}
+        self._consumed = True
 
     def backward(self, loss):
         """Accumulate d(loss)/d(param) into every watched parameter.
@@ -131,6 +150,8 @@ class Tape:
         ``loss`` must be a scalar node of this tape; ``None`` is accepted
         only for an empty record and leaves all gradients untouched.
         """
+        if not self.recording:
+            raise RuntimeError("backward on a non-recording tape")
         if self._consumed:
             raise RuntimeError("tape already consumed by a backward pass")
         self._consumed = True
@@ -143,9 +164,14 @@ class Tape:
         if loss.value.shape != ():
             raise ShapeMismatch(f"backward: loss must be scalar, got shape {loss.value.shape}")
         loss.grad = np.ones((), dtype=np.float64)
+        # Once a node has passed its gradient on, neither its gradient nor
+        # its closure is read again: drop both, so memory stays near the
+        # frontier of the reverse sweep rather than the whole tape.
         for node in reversed(self._record):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+            g, node.grad = node.grad, None
+            if g is not None and node._backward is not None:
+                node._backward(g)
+            node._backward = None
 
 
 def _as_node(x, tape):
@@ -157,9 +183,9 @@ def _as_node(x, tape):
 
 
 def _accum(node, g):
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+    # The first write keeps ``g`` itself, which may be shared with other
+    # nodes or be a read-only view, so later writes never add in place.
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -179,30 +205,39 @@ def _broadcast_shape(op, a, b):
         raise ShapeMismatch(f"{op}: shapes {a.value.shape} and {b.value.shape} do not align") from None
 
 
+def _affine_value(op, wv, bv, xv):
+    if wv.ndim != 2 or bv.shape != (wv.shape[0],):
+        raise ShapeMismatch(f"{op}: weight {wv.shape} and bias {bv.shape} do not align")
+    if xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
+        raise ShapeMismatch(f"{op}: weight {wv.shape} cannot act on input {xv.shape}")
+    return wv @ xv + bv if xv.ndim == 1 else xv @ wv.T + bv
+
+
+def _affine_grads(g, wv, xv):
+    """(d weight, d bias, d input) of an affine map, given d output ``g``."""
+    if xv.ndim == 1:
+        return np.outer(g, xv), g, g @ wv
+    return g.T @ xv, g.sum(axis=0), g @ wv
+
+
+def _sigmoid_value(xv):
+    e = np.exp(-np.abs(xv))
+    return np.where(xv >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def affine(w, b, x):
     """w @ x + b for 1-D x, or x @ w.T + b row-wise for 2-D x.
 
     ``w`` has shape (out, in) and ``b`` shape (out,).
     """
-    wv, bv, xv = w.value, b.value, x.value
-    if wv.ndim != 2 or bv.shape != (wv.shape[0],):
-        raise ShapeMismatch(f"affine: weight {wv.shape} and bias {bv.shape} do not align")
-    if xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
-        raise ShapeMismatch(f"affine: weight {wv.shape} cannot act on input {xv.shape}")
-    if xv.ndim == 1:
-        out = wv @ xv + bv
+    wv, xv = w.value, x.value
+    out = _affine_value("affine", wv, b.value, xv)
 
-        def backward(g):
-            _accum(w, np.outer(g, xv))
-            _accum(b, g)
-            _accum(x, g @ wv)
-    else:
-        out = xv @ wv.T + bv
-
-        def backward(g):
-            _accum(w, g.T @ xv)
-            _accum(b, g.sum(axis=0))
-            _accum(x, g @ wv)
+    def backward(g):
+        dw, db, dx = _affine_grads(g, wv, xv)
+        _accum(w, dw)
+        _accum(b, db)
+        _accum(x, dx)
 
     return x.tape._append(out, backward)
 
@@ -220,14 +255,39 @@ def relu(x):
 
 def sigmoid(x):
     """Numerically stable elementwise logistic function."""
-    xv = x.value
-    e = np.exp(-np.abs(xv))
-    s = np.where(xv >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = _sigmoid_value(x.value)
 
     def backward(g):
         _accum(x, g * s * (1.0 - s))
 
     return x.tape._append(s, backward)
+
+
+def mlp(w1, b1, w2, b2, x, squash=False):
+    """affine -> ReLU -> affine, then sigmoid when ``squash``, as one node.
+
+    Values and gradients are those of the chain of ``affine``, ``relu``
+    and ``sigmoid`` nodes, bit for bit; the backward pass keeps only the
+    hidden layer and the output.
+    """
+    xv, w1v, w2v = x.value, w1.value, w2.value
+    hidden = np.maximum(_affine_value("mlp", w1v, b1.value, xv), 0.0)
+    out = _affine_value("mlp", w2v, b2.value, hidden)
+    if squash:
+        out = _sigmoid_value(out)
+
+    def backward(g):
+        if squash:
+            g = g * out * (1.0 - out)
+        dw2, db2, dh = _affine_grads(g, w2v, hidden)
+        dw1, db1, dx = _affine_grads(dh * (hidden > 0.0), w1v, xv)
+        _accum(w2, dw2)
+        _accum(b2, db2)
+        _accum(w1, dw1)
+        _accum(b1, db1)
+        _accum(x, dx)
+
+    return x.tape._append(out, backward)
 
 
 def add(a, b):
@@ -315,11 +375,13 @@ def concat(parts):
                 f"concat: shapes {vals[0].shape} and {v.shape} do not align"
             )
     out = np.concatenate(vals, axis=-1)
-    splits = np.cumsum([v.shape[-1] for v in vals])[:-1]
+    bounds = [0]
+    for v in vals:
+        bounds.append(bounds[-1] + v.shape[-1])
 
     def backward(g):
-        for part, piece in zip(parts, np.split(g, splits, axis=-1)):
-            _accum(part, piece)
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
+            _accum(part, g[..., lo:hi])
 
     return tape._append(out, backward)
 
@@ -331,9 +393,10 @@ def take_rows(x, indices):
     out = xv[idx]
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(xv)
-        np.add.at(x.grad, idx, g)
+        # Scatter into a copy: x.grad may be shared with another node.
+        full = np.zeros_like(xv) if x.grad is None else x.grad.copy()
+        np.add.at(full, idx, g)
+        x.grad = full
 
     return x.tape._append(out, backward)
 
@@ -373,30 +436,72 @@ def sum_all(x):
     return x.tape._append(out, backward)
 
 
-def logsumexp(x):
-    """Stable log(sum(exp(x))) of a 1-D vector, as a scalar node.
+def logsumexp_rows(x):
+    """Row-wise log(sum(exp(x))) of a 2-D array, and each row's softmax.
 
-    The max term (exactly exp(0) after shifting) is kept out of the sum
-    and folded back through log1p, so the result stays fully accurate
-    even when the remaining mass is many orders of magnitude smaller.
+    -inf entries drop out.  Each row's max term (exactly exp(0) after
+    shifting) is kept out of the sum and folded back through log1p, so
+    the result stays fully accurate even when the remaining mass is many
+    orders of magnitude smaller.
     """
+    rows = np.arange(x.shape[0])
+    star = x.argmax(axis=1)
+    top = x[rows, star]
+    ex = np.exp(x - top[:, None])
+    ex[rows, star] = 0.0
+    rest = ex.sum(axis=1)
+    ex[rows, star] = 1.0
+    return top + np.log1p(rest), ex / (1.0 + rest)[:, None]
+
+
+def logsumexp(x):
+    """Stable log(sum(exp(x))) of a 1-D vector, as a scalar node."""
     xv = x.value
     if xv.ndim != 1 or xv.size == 0:
         raise ShapeMismatch(f"logsumexp: need a non-empty vector, got shape {xv.shape}")
-    star = int(np.argmax(xv))
-    m = xv[star]
-    ex = np.exp(xv - m)
-    ex_star = ex[star]
-    ex[star] = 0.0
-    rest = ex.sum()
-    ex[star] = ex_star
-    out = np.asarray(m + np.log1p(rest))
-    soft = ex / (1.0 + rest)
+    out, soft = logsumexp_rows(xv[None, :])
 
     def backward(g):
-        _accum(x, g * soft)
+        _accum(x, g * soft[0])
 
-    return x.tape._append(out, backward)
+    return x.tape._append(np.asarray(out[0]), backward)
+
+
+def precomputed(x, value, dx):
+    """A scalar node holding ``value``, whose gradient d(value)/dx is ``dx``."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != () or np.shape(dx) != x.value.shape:
+        raise ShapeMismatch(
+            f"precomputed: need a scalar value and a gradient shaped like {x.value.shape}, "
+            f"got {value.shape} and {np.shape(dx)}"
+        )
+
+    def backward(g):
+        _accum(x, g * dx)
+
+    return x.tape._append(value, backward)
+
+
+def _split(op, tv, hv, eps):
+    """Parallel and orthogonal parts of hv against tv, row-wise.
+
+    Also returns ``through(q)``, the gradient (dh, dt) of (q . parallel).
+    """
+    if tv.shape != hv.shape:
+        raise ShapeMismatch(f"{op}: shapes {tv.shape} and {hv.shape} differ")
+    tt = np.sum(tv * tv, axis=-1, keepdims=True)
+    ok = tt >= eps
+    denom = np.where(ok, tt, 1.0)
+    coef = np.where(ok, np.sum(hv * tv, axis=-1, keepdims=True) / denom, 0.0)
+    par_v = coef * tv
+
+    def through(q):
+        qt = np.sum(q * tv, axis=-1, keepdims=True)
+        dh = np.where(ok, qt / denom, 0.0) * tv
+        dt = np.where(ok, coef * q + (qt / denom) * (hv - 2.0 * coef * tv), 0.0)
+        return dh, dt
+
+    return par_v, hv - par_v, through
 
 
 def project_decompose(t, h, eps=PROJECTION_EPS):
@@ -406,30 +511,15 @@ def project_decompose(t, h, eps=PROJECTION_EPS):
     ||t||^2 < eps return (0, h) exactly; on that branch the gradient is
     the identity through h and zero through t.
     """
-    tv, hv = t.value, h.value
-    if tv.shape != hv.shape:
-        raise ShapeMismatch(f"project_decompose: shapes {tv.shape} and {hv.shape} differ")
-    tt = np.sum(tv * tv, axis=-1, keepdims=True)
-    ok = tt >= eps
-    denom = np.where(ok, tt, 1.0)
-    coef = np.where(ok, np.sum(hv * tv, axis=-1, keepdims=True) / denom, 0.0)
-    par_v = coef * tv
-    orth_v = hv - par_v
-
-    def through_projection(q):
-        # Gradient of (q . parallel) w.r.t. h and t on the regular branch.
-        qt = np.sum(q * tv, axis=-1, keepdims=True)
-        dh = np.where(ok, qt / denom, 0.0) * tv
-        dt = np.where(ok, coef * q + (qt / denom) * (hv - 2.0 * coef * tv), 0.0)
-        return dh, dt
+    par_v, orth_v, through = _split("project_decompose", t.value, h.value, eps)
 
     def backward_par(g):
-        dh, dt = through_projection(g)
+        dh, dt = through(g)
         _accum(h, dh)
         _accum(t, dt)
 
     def backward_orth(g):
-        dh, dt = through_projection(g)
+        dh, dt = through(g)
         _accum(h, g - dh)
         _accum(t, -dt)
 
@@ -437,6 +527,32 @@ def project_decompose(t, h, eps=PROJECTION_EPS):
     par = tape._append(par_v, backward_par)
     orth = tape._append(orth_v, backward_orth)
     return par, orth
+
+
+def gated_mix(gate, t, h, eps=PROJECTION_EPS):
+    """gate * orthogonal + (1 - gate) * parallel, splitting h against t, as one node.
+
+    Values and gradients are those of ``project_decompose`` followed by
+    the elementwise mix, bit for bit, on both projection branches.
+    """
+    gv = gate.value
+    par_v, orth_v, through = _split("gated_mix", t.value, h.value, eps)
+    if gv.shape != par_v.shape:
+        raise ShapeMismatch(f"gated_mix: gate {gv.shape} and input {par_v.shape} differ")
+    keep = 1.0 - gv
+    out = gv * orth_v + keep * par_v
+
+    def backward(g):
+        q_orth = g * gv
+        dh_orth, dt_orth = through(q_orth)
+        dh_par, dt_par = through(g * keep)
+        _accum(gate, g * orth_v - g * par_v)
+        _accum(h, (q_orth - dh_orth) + dh_par)
+        # Two writes, in the unfused chain's order, keep t's sum bit-identical.
+        _accum(t, -dt_orth)
+        _accum(t, dt_par)
+
+    return t.tape._append(out, backward)
 
 
 class GradCheckReport:
@@ -473,16 +589,23 @@ def grad_check(closure, params, step=1e-5, tol=1e-4, corrupt=None):
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    _, first = closure()
+
+    def evaluate():
+        tape, loss = closure()
+        tape.release()
+        return float(loss.value)
+
+    first = evaluate()
     tape, loss = closure()
-    if float(first.value) != float(loss.value):
+    if first != float(loss.value):
         raise NonDeterministicClosure(
-            f"baseline evaluations differ: {float(first.value)!r} vs {float(loss.value)!r}"
+            f"baseline evaluations differ: {first!r} vs {float(loss.value)!r}"
         )
     stashed = [(p, p.grad.copy()) for p in params]
     for p in params:
         p.zero_grad()
     tape.backward(loss)
+    tape.release()
     analytic = {p.name: p.grad.copy() for p in params}
     for p, g in stashed:
         p.grad = g
@@ -499,11 +622,11 @@ def grad_check(closure, params, step=1e-5, tol=1e-4, corrupt=None):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            _, up = closure()
+            up = evaluate()
             flat[i] = orig - step
-            _, down = closure()
+            down = evaluate()
             flat[i] = orig
-            numeric = (float(up.value) - float(down.value)) / (2.0 * step)
+            numeric = (up - down) / (2.0 * step)
             err = abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), 1e-8)
             worst = max(worst, err)
         errors[p.name] = worst

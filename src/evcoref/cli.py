@@ -87,6 +87,20 @@ DEFAULT_CONFIG = {
 }
 
 
+# Maps keyed by feature or split name: any key is accepted below them.
+FREE_FORM = {("schema",), ("noise",), ("gen", "docs"), ("gen", "train_accuracy"), ("gen", "test_accuracy")}
+
+
+def check_keys(override, base=DEFAULT_CONFIG, path=()):
+    """Raise ValueError naming the first dotted path of ``override`` that DEFAULT_CONFIG lacks."""
+    for key, value in override.items():
+        where = path + (key,)
+        if not isinstance(base, dict) or key not in base:
+            raise ValueError(f"unknown config key {'.'.join(where)!r}")
+        if where not in FREE_FORM and isinstance(value, dict):
+            check_keys(value, base[key], where)
+
+
 def deep_merge(base, override):
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -105,8 +119,12 @@ def apply_set(cfg, assignment):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
     parts = dotted.split(".")
+    nested = value
+    for part in reversed(parts):
+        nested = {part: nested}
+    check_keys(nested)
+    node = cfg
     for part in parts[:-1]:
         if part not in node or not isinstance(node[part], dict):
             node[part] = {}
@@ -118,7 +136,9 @@ def effective_config(args):
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = deep_merge(cfg, json.load(fh))
+            override = json.load(fh)
+        check_keys(override)
+        cfg = deep_merge(cfg, override)
     for assignment in args.set or []:
         apply_set(cfg, assignment)
     if args.seed is not None:

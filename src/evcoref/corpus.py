@@ -122,7 +122,10 @@ def _mention_from_json(obj, schema, where):
     for name in schema.names:
         if name not in feats:
             raise CorpusError(f"{where}: missing feature name {name!r}")
-        values.append(int(feats[name]))
+        value = feats[name]
+        if type(value) is not int:
+            raise CorpusError(f"{where}: feature {name!r} value {value!r} is not an integer")
+        values.append(value)
     gold = obj.get("gold_cluster")
     return Mention(
         start=int(obj["start"]),
@@ -135,6 +138,7 @@ def _mention_from_json(obj, schema, where):
 def load_corpus(path, schema):
     """Read a JSONL corpus (one document object per line) and validate it."""
     docs = []
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             if not line.strip():
@@ -150,6 +154,11 @@ def load_corpus(path, schema):
                 doc = Document(doc_id=str(obj["doc_id"]), tokens=list(obj["tokens"]), mentions=mentions)
             except KeyError as exc:
                 raise CorpusError(f"line {ln}: missing field {exc.args[0]!r}") from None
+            if doc.doc_id in first_line:
+                raise CorpusError(
+                    f"line {ln}: duplicate doc_id {doc.doc_id!r} (first on line {first_line[doc.doc_id]})"
+                )
+            first_line[doc.doc_id] = ln
             diag = validate_document(doc, schema)
             if diag is not None:
                 raise CorpusError(f"line {ln}: {diag}")

@@ -18,6 +18,7 @@ from .encoder import init_encoder, init_feature_embedders
 from .pair_model import init_pair_model, score_document
 
 MODEL_FORMAT = "evcoref-model"
+MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class CorefModel:
     def to_json_dict(self):
         return {
             "format": MODEL_FORMAT,
-            "version": 1,
+            "version": MODEL_VERSION,
             "mode": self.mode,
             "seed": self.seed,
             "dims": self.dims.to_dict(),
@@ -117,6 +118,9 @@ class CorefModel:
             obj = json.load(fh)
         if obj.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path}: not a model file")
+        version = obj.get("version")
+        if type(version) is not int or version != MODEL_VERSION:
+            raise ValueError(f"{path}: model format version {version!r}, expected {MODEL_VERSION}")
         model = cls(
             schema=FeatureSchema.from_dict(obj["schema"]),
             vocab=list(obj["vocab"]),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, affine, concat, project_decompose, relu, reshape, sigmoid, take_rows
+from .autodiff import Parameter, Tape, concat, gated_mix, mlp, reshape, take_rows
 from .encoder import encode_tokens, feature_rows, trigger_reprs
 
 MODES = ("baseline", "simple", "cdgm")
@@ -68,8 +68,8 @@ def init_ffnn(name, in_width, out_width, rng, out_sigmoid=False):
 
 def ffnn_apply(f, x):
     tape = x.tape
-    out = affine(tape.watch(f.w2), tape.watch(f.b2), relu(affine(tape.watch(f.w1), tape.watch(f.b1), x)))
-    return sigmoid(out) if f.out_sigmoid else out
+    w1, b1, w2, b2 = (tape.watch(p) for p in f.params())
+    return mlp(w1, b1, w2, b2, x, squash=f.out_sigmoid)
 
 
 @dataclass
@@ -137,8 +137,7 @@ def cdgm(t_ij, h_ij, pm, u):
     new information, near 0 it falls back on the trigger context.
     """
     gate = ffnn_apply(pm.ffnn_g[u], concat([t_ij, h_ij]))
-    par, orth = project_decompose(t_ij, h_ij)
-    return gate * orth + (1.0 - gate) * par
+    return gated_mix(gate, t_ij, h_ij)
 
 
 def assemble_pair(t_ij, parts, mode):
@@ -191,39 +190,33 @@ class PairScores:
 
 def pair_indices(k):
     """Row indices (i_vec, j_vec) for all pairs j < i, in score order."""
-    i_vec = np.array([i for i in range(1, k) for _ in range(i)], dtype=np.intp)
-    j_vec = np.array([j for i in range(1, k) for j in range(i)], dtype=np.intp)
-    return i_vec, j_vec
+    return np.tril_indices(k, -1)
 
 
 def score_document_node(doc, model, tape):
-    """Scores for all j < i pairs as one (P,) node on ``tape``."""
+    """Scores for all j < i pairs as one (P,) node on ``tape``.
+
+    The per-pair inputs of each FFNN are built inline, so on a
+    non-recording tape they are freed as soon as the FFNN has read them.
+    """
     k = len(doc.mentions)
     if k < 2:
         return None
-    x = encode_tokens(doc, model.encoder, tape)
-    t_all = trigger_reprs(x, doc.mentions)
     i_vec, j_vec = pair_indices(k)
-    t_i = take_rows(t_all, i_vec)
-    t_j = take_rows(t_all, j_vec)
-    t_ij = trigger_pair(t_i, t_j, model.pair)
+    t_all = trigger_reprs(encode_tokens(doc, model.encoder, tape), doc.mentions)
+    t_ij = trigger_pair(take_rows(t_all, i_vec), take_rows(t_all, j_vec), model.pair)
 
     parts = []
     if model.pair.mode != "baseline":
         for u, emb in enumerate(model.embedders):
-            card = emb.value.shape[0]
-            h_all = feature_rows(doc.mentions, u, tape.watch(emb), card)
-            h_i = take_rows(h_all, i_vec)
-            h_j = take_rows(h_all, j_vec)
-            h_ij = feature_pair(h_i, h_j, model.pair, u)
+            h_all = feature_rows(doc.mentions, u, tape.watch(emb), emb.value.shape[0])
+            h_ij = feature_pair(take_rows(h_all, i_vec), take_rows(h_all, j_vec), model.pair, u)
             parts.append(cdgm(t_ij, h_ij, model.pair, u) if model.pair.mode == "cdgm" else h_ij)
 
     return score_pair(assemble_pair(t_ij, parts, model.pair.mode), model.pair)
 
 
 def score_document(doc, model):
-    """Forward-only scoring; returns a PairScores of plain floats."""
-    k = len(doc.mentions)
-    node = score_document_node(doc, model, Tape())
-    flat = np.zeros(0) if node is None else node.value.copy()
-    return PairScores(k, flat)
+    """Forward-only scoring on a non-recording tape; returns a PairScores of plain floats."""
+    node = score_document_node(doc, model, Tape(record=False))
+    return PairScores(len(doc.mentions), np.zeros(0) if node is None else node.value)

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tape, concat, logsumexp, take_rows
+from .autodiff import Tape, logsumexp_rows, precomputed
 from .corpus import Document, gold_clustering
 from .inference import predict_corpus
 from .metrics import corpus_report
-from .pair_model import score_document_node
+from .pair_model import pair_indices, score_document_node
 
 # Per-feature resampling probabilities; zero for features whose
 # predictors stay reliable on held-out text, larger for the fragile ones.
@@ -75,51 +75,53 @@ def gold_antecedents(i, gold_ids):
     return out
 
 
-def _lse(values):
-    """log(sum(exp(values))) with the max term folded in via log1p."""
-    star = int(np.argmax(values))
-    ex = np.exp(values - values[star])
-    ex[star] = 0.0
-    return values[star] + np.log1p(ex.sum())
+def _antecedent_terms(flat, gold_ids):
+    """The loss over all mentions and its gradient w.r.t. the flat pair scores.
+
+    Row i-1 of a (k-1, k) candidate matrix holds mention i's scores
+    against every j < i, -inf padding, and the dummy antecedent pinned at
+    0 in the last column.  The gold mask marks the coreferent j < i, or
+    the dummy when there are none.  Both log-sums of a row share one
+    detached max shift, so their difference never routes through a large
+    intermediate value.  The gradient of each row is p_all - p_gold.
+    """
+    gold_ids = list(gold_ids)
+    k = len(gold_ids)
+    if k < 2:
+        return 0.0, np.zeros(0)
+    if None in gold_ids:
+        raise ValueError(f"mention {gold_ids.index(None)} has no gold cluster")
+    index = {}
+    codes = np.array([index.setdefault(g, len(index)) for g in gold_ids])
+    i_vec, j_vec = pair_indices(k)
+    rows = i_vec - 1
+    cand = np.full((k - 1, k), -np.inf)
+    cand[rows, j_vec] = flat
+    cand[:, -1] = 0.0
+    x = cand - cand.max(axis=1, keepdims=True)
+    gold = np.zeros((k - 1, k), dtype=bool)
+    gold[rows, j_vec] = codes[i_vec] == codes[j_vec]
+    gold[:, -1] = ~gold.any(axis=1)
+    lse_all, p_all = logsumexp_rows(x)
+    lse_gold, p_gold = logsumexp_rows(np.where(gold, x, -np.inf))
+    return (lse_all - lse_gold).sum(), (p_all - p_gold)[rows, j_vec]
 
 
 def antecedent_nll(scores, gold_ids):
     """Marginal antecedent negative log-likelihood, as a float.
 
     The dummy antecedent score is fixed at 0 and stands in for the gold
-    set whenever a mention has no coreferent predecessor.  Both log-sums
-    of a mention share one max shift, so their difference never routes
-    through a large intermediate value.
+    set whenever a mention has no coreferent predecessor.
     """
-    loss = 0.0
-    for i in range(1, scores.k):
-        row = scores.row(i)
-        candidates = np.append(row, 0.0)
-        gold = gold_antecedents(i, gold_ids)
-        gold_vals = row[gold] if gold else np.zeros(1)
-        m = candidates.max()
-        loss += float(_lse(candidates - m) - _lse(gold_vals - m))
-    return loss
+    return float(_antecedent_terms(scores.flat, gold_ids)[0])
 
 
 def antecedent_nll_node(scores_node, gold_ids, tape):
-    """Same loss as a recorded scalar node, for backpropagation."""
-    k = len(gold_ids)
-    zero = tape.constant(np.zeros(1))
-    total = tape.constant(0.0)
-    for i in range(1, k):
-        base = i * (i - 1) // 2
-        row = take_rows(scores_node, np.arange(base, base + i))
-        candidates = concat([row, zero])
-        m = float(candidates.value.max())  # detached shift; exact same gradients
-        lse_all = logsumexp(candidates - m)
-        gold = gold_antecedents(i, gold_ids)
-        if gold:
-            lse_gold = logsumexp(take_rows(scores_node, np.asarray(gold) + base) - m)
-        else:
-            lse_gold = tape.constant(-m)
-        total = total + (lse_all - lse_gold)
-    return total
+    """Same loss as one recorded scalar node on ``tape``, for backpropagation."""
+    if scores_node.tape is not tape:
+        raise ValueError("scores recorded on a different tape")
+    loss, grad = _antecedent_terms(scores_node.value, gold_ids)
+    return precomputed(scores_node, loss, grad)
 
 
 def document_loss_node(doc, model, tape):
@@ -235,6 +237,7 @@ def train(model, docs, config, noise=None, dev_docs=None):
                     )
                 epoch_total += value
                 tape.backward(loss)
+                tape.release()
             opt.step()
         history.epoch_loss.append(epoch_total / len(docs))
         if dev_docs is not None:
@@ -293,7 +296,9 @@ def warm_to_loss(model, doc, target=1e-3, lr=5e-3, max_steps=500):
         tape = Tape()
         loss = document_loss_node(doc, model, tape)
         if float(loss.value) < target:
+            tape.release()
             break
         tape.backward(loss)
+        tape.release()
         opt.step()
     return model

@@ -1,5 +1,8 @@
 """Forward primitives, the projection split, and gradient fidelity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,11 @@ from evcoref.autodiff import (
     affine,
     concat,
     dot,
+    gated_mix,
     grad_check,
     logsumexp,
     matmul_const,
+    mlp,
     mul,
     project_decompose,
     relu,
@@ -275,3 +280,138 @@ class TestGradCheck:
         flat = reshape(t.watch(p), (4,))
         t.backward(dot(flat, t.constant([1.0, 0.0, 0.0, 2.0])))
         np.testing.assert_array_equal(p.grad, [[1.0, 0.0], [0.0, 2.0]])
+
+
+def _value_and_grads(build, params, v):
+    """Forward ``build(tape)``; gradients of sum(v * out) for every param."""
+    for p in params:
+        p.zero_grad()
+    t = Tape()
+    out = build(t)
+    t.backward(sum_all(mul(t.constant(v), out)))
+    return out.value, [p.grad.copy() for p in params]
+
+
+def _assert_same(fused, chain):
+    (fv, fg), (cv, cg) = fused, chain
+    np.testing.assert_allclose(fv, cv, rtol=1e-12, atol=0)
+    for a, b in zip(fg, cg):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+class TestFusedNodes:
+    """The fused model blocks against the chains of primitives they replace."""
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("squash", [False, True])
+    def test_mlp_matches_primitive_chain(self, rows, squash):
+        rng = np.random.default_rng(31)
+        shape = (5,) if rows is None else (rows, 5)
+        params = [Parameter("w1", rng.normal(size=(6, 5))), Parameter("b1", rng.normal(size=6)),
+                  Parameter("w2", rng.normal(size=(3, 6))), Parameter("b2", rng.normal(size=3)),
+                  Parameter("x", rng.normal(size=shape))]
+        v = rng.normal(size=shape[:-1] + (3,))
+
+        def fused(t):
+            return mlp(*(t.watch(p) for p in params), squash=squash)
+
+        def chain(t):
+            w1, b1, w2, b2, x = (t.watch(p) for p in params)
+            out = affine(w2, b2, relu(affine(w1, b1, x)))
+            return sigmoid(out) if squash else out
+
+        _assert_same(_value_and_grads(fused, params, v), _value_and_grads(chain, params, v))
+
+    @pytest.mark.parametrize("case", ["vector", "batch", "singular"])
+    def test_gated_mix_matches_projection_and_mix(self, case):
+        rng = np.random.default_rng(32)
+        shape = (4,) if case == "vector" else (6, 4)
+        tv = rng.normal(size=shape)
+        if case == "singular":
+            tv[2] = 0.0  # ||t||^2 < eps: the row returns (0, h)
+        params = [Parameter("g", rng.uniform(0.05, 0.95, size=shape)), Parameter("t", tv),
+                  Parameter("h", rng.normal(size=shape))]
+        v = rng.normal(size=shape)
+
+        def fused(t):
+            g, tn, hn = (t.watch(p) for p in params)
+            return gated_mix(g, tn, hn)
+
+        def chain(t):
+            g, tn, hn = (t.watch(p) for p in params)
+            par, orth = project_decompose(tn, hn)
+            return g * orth + (1.0 - g) * par
+
+        fused_out = _value_and_grads(fused, params, v)
+        _assert_same(fused_out, _value_and_grads(chain, params, v))
+        if case == "singular":
+            np.testing.assert_array_equal(fused_out[1][1][2], 0.0)  # no gradient through t
+
+    def test_gated_mix_shape_mismatch(self):
+        t = Tape()
+        with pytest.raises(ShapeMismatch, match="gated_mix"):
+            gated_mix(t.constant(np.ones(3)), t.constant(np.ones(4)), t.constant(np.ones(4)))
+
+
+class TestNonRecordingTape:
+    def test_same_values_and_no_record(self):
+        rng = np.random.default_rng(33)
+        w, b = Parameter("w", rng.normal(size=(3, 4))), Parameter("b", rng.normal(size=3))
+        x = rng.normal(size=(5, 4))
+        values = []
+        for record in (True, False):
+            t = Tape(record=record)
+            values.append(relu(affine(t.watch(w), t.watch(b), t.constant(x))).value)
+            assert len(t._record) == (5 if record else 0)
+        np.testing.assert_array_equal(values[0], values[1])
+
+    def test_backward_raises(self):
+        t = Tape(record=False)
+        loss = sum_all(t.watch(Parameter("p", [1.0, 2.0])))
+        with pytest.raises(RuntimeError, match="non-recording"):
+            t.backward(loss)
+
+    def test_intermediates_freed_without_collector(self):
+        t = Tape(record=False)
+        gc.disable()
+        try:
+            x = t.constant(np.ones(4))
+            probe = weakref.ref(relu(x).value)
+            out = sigmoid(x)
+            assert probe() is None and out.value.shape == (4,)
+        finally:
+            gc.enable()
+
+
+class TestRelease:
+    def test_released_tape_freed_without_collector(self):
+        p = Parameter("p", [1.0, -2.0])
+        gc.disable()
+        try:
+            t = Tape()
+            loss = sum_all(mul(t.watch(p), t.watch(p)))
+            t.backward(loss)
+            t.release()
+            probe = weakref.ref(t)
+            del t, loss
+            assert probe() is None
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(p.grad, [2.0, -4.0])
+
+    def test_grad_check_leaves_no_live_tape(self):
+        w = Parameter("w", [[0.5, -0.25], [0.1, 0.3]])
+        probes = []
+
+        def closure():
+            t = Tape()
+            probes.append(weakref.ref(t))
+            out = affine(t.watch(w), t.constant(np.zeros(2)), t.constant([1.0, 2.0]))
+            return t, dot(out, out)
+
+        gc.disable()
+        try:
+            assert grad_check(closure, [w], step=1e-5, tol=1e-6).ok
+            assert probes and all(probe() is None for probe in probes)
+        finally:
+            gc.enable()

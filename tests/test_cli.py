@@ -144,6 +144,33 @@ class TestTrainPredictScore:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, assignment, path", [
+        ("train", "train.epoch=1", "train.epoch"),
+        ("gen", "gen.tokns=[1,2]", "gen.tokns"),
+        ("gen", 'dims={"d": 6, "q": 3}', "dims.q"),
+        ("gen", "paths.modle=x.json", "paths.modle"),
+    ])
+    def test_unknown_set_path_rejected(self, tmp_path, capsys, command, assignment, path):
+        assert run([command, "--set", assignment], str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(path) in err
+
+    def test_unknown_config_file_path_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {"epochs": 1, "lr": 0.1}}))
+        assert run(["gen", "--config", str(config)], str(tmp_path)) == 1
+        assert "'train.lr'" in capsys.readouterr().err
+
+    def test_feature_keyed_maps_stay_free_form(self, tmp_path):
+        accuracy = {"Type": 0.9, "Aspect": 0.8}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema": {"Type": 8, "Aspect": 3},
+                                      "gen": {"train_accuracy": accuracy, "test_accuracy": accuracy}}))
+        argv = ["gen", "--config", str(config), "--set", "noise.Aspect=0.3"] + FAST
+        assert run(argv, str(tmp_path)) == 0
+
+
 GC_FAST = [
     "--set", "gradcheck.dims={\"d\": 5, \"l\": 3, \"p\": 4, \"w\": 1}",
 ]

@@ -105,6 +105,21 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="Tense"):
             load_corpus(path, SCHEMA)
 
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    def test_non_integer_feature_value_rejected(self, tmp_path, value):
+        obj = json.loads(self.ONE_DOC)
+        obj["mentions"][1]["features"]["Tense"] = value
+        path = tmp_path / "float.jsonl"
+        path.write_text(self.ONE_DOC + json.dumps(dict(obj, doc_id="d2")) + "\n")
+        with pytest.raises(CorpusError, match="line 2: feature 'Tense' value .* is not an integer"):
+            load_corpus(path, SCHEMA)
+
+    def test_duplicate_doc_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(self.ONE_DOC * 2)
+        with pytest.raises(CorpusError, match="line 2: duplicate doc_id 'd1' \\(first on line 1\\)"):
+            load_corpus(path, SCHEMA)
+
     def test_gold_cluster_optional(self, tmp_path):
         obj = json.loads(self.ONE_DOC)
         for m in obj["mentions"]:

@@ -44,6 +44,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="missing parameter"):
             CorefModel.load(path)
 
+    @pytest.mark.parametrize("version", [2, "1", True, None])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        import json
+
+        path = tmp_path / "m.json"
+        small_model().save(path)
+        obj = json.loads(path.read_text())
+        if version is None:
+            del obj["version"]
+        else:
+            obj["version"] = version
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="m.json: model format version") as err:
+            CorefModel.load(path)
+        assert "\n" not in str(err.value)
+
     def test_non_model_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{}")

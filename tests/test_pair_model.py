@@ -1,8 +1,12 @@
 """Pair representations, the gated module, and document scoring."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from evcoref import pair_model
 from evcoref.autodiff import Tape, grad_check
 from evcoref.corpus import Document, FeatureSchema, Mention
 from evcoref.encoder import embed_features, encode_tokens, trigger_repr
@@ -280,6 +284,31 @@ class TestScoreDocument:
             hij = feature_pair(hi[u], hj[u], model_c.pair, u)
             gated = cdgm(tij, hij, model_c.pair, u)
             np.testing.assert_allclose(gated.value, hij.value / 2.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["baseline", "simple", "cdgm"])
+    def test_equals_recording_tape(self, mode):
+        model = tiny_model(mode=mode, seed=6)
+        doc = three_mention_doc(seed=4)
+        recorded = score_document_node(doc, model, Tape()).value
+        np.testing.assert_array_equal(score_document(doc, model).flat, recorded)
+
+    def test_tape_freed_without_collector(self, monkeypatch):
+        probes = []
+
+        class Tracked(Tape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                probes.append(weakref.ref(self))
+
+        monkeypatch.setattr(pair_model, "Tape", Tracked)
+        model = tiny_model(seed=7)
+        gc.disable()
+        try:
+            scores = score_document(three_mention_doc(seed=5), model)
+            assert len(probes) == 1 and probes[0]() is None
+        finally:
+            gc.enable()
+        assert scores.flat.shape == (3,)
 
 
 class TestGradients:

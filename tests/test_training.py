@@ -1,11 +1,14 @@
 """Noise injection, the ranking loss, and the optimization loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from evcoref.autodiff import Tape
+from evcoref import training
+from evcoref.autodiff import Parameter, Tape
 from evcoref.corpus import Document, FeatureSchema, GenConfig, Mention, generate_corpus
 from evcoref.encoder import build_vocab
 from evcoref.model import CorefModel, Dims
@@ -173,6 +176,27 @@ class TestAntecedentNll:
                 antecedent_nll(PairScores(k, flat), gold), rel=1e-12
             )
 
+    def test_node_is_one_entry_with_brute_force_gradient(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            k = int(rng.integers(2, 7))
+            flat = Parameter("s", rng.normal(scale=2.0, size=k * (k - 1) // 2))
+            gold = [int(rng.integers(3)) for _ in range(k)]
+            t = Tape()
+            scores = t.watch(flat)
+            before = len(t._record)
+            loss = antecedent_nll_node(scores, gold, t)
+            assert len(t._record) == before + 1
+            t.backward(loss)
+            step = 1e-6
+            for n in range(flat.size):
+                up, down = flat.value.copy(), flat.value.copy()
+                up[n] += step
+                down[n] -= step
+                numeric = (brute_force_nll(PairScores(k, up), gold)
+                           - brute_force_nll(PairScores(k, down), gold)) / (2 * step)
+                assert flat.grad[n] == pytest.approx(numeric, abs=1e-7)
+
 
 class TestTrain:
     def small_setup(self, n_docs=12, seed=0):
@@ -221,6 +245,27 @@ class TestTrain:
         docs, model = self.small_setup()
         with pytest.raises(ValueError):
             train(model, docs, TrainConfig(epochs=1, noise=True))
+
+    def test_tapes_freed_without_collector(self, monkeypatch):
+        """Each step's tape dies by reference count before the next is made."""
+        probes, alive_at_new = [], []
+
+        class Tracked(Tape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                alive_at_new.append(sum(probe() is not None for probe in probes))
+                probes.append(weakref.ref(self))
+
+        monkeypatch.setattr(training, "Tape", Tracked)
+        docs, model = self.small_setup(n_docs=4, seed=2)
+        gc.disable()
+        try:
+            train(model, docs, TrainConfig(epochs=1, seed=2, batch_size=2))
+            assert len(probes) == 4 and all(probe() is None for probe in probes)
+        finally:
+            gc.enable()
+        # The previous step's tape is still bound to the loop's local name.
+        assert max(alive_at_new) <= 1
 
 
 class TestFullLossGradient:
