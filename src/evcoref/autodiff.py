@@ -325,18 +325,6 @@ def mul(a, b):
     return a.tape._append(out, backward)
 
 
-def div(a, b):
-    _broadcast_shape("div", a, b)
-    av, bv = a.value, b.value
-    out = av / bv
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / bv, av.shape))
-        _accum(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
-
-    return a.tape._append(out, backward)
-
-
 def scale(alpha, x):
     """Multiply by a plain python scalar (not a recorded value)."""
     alpha = float(alpha)

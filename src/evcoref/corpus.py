@@ -126,13 +126,13 @@ def _mention_from_json(obj, schema, where):
         if type(value) is not int:
             raise CorpusError(f"{where}: feature {name!r} value {value!r} is not an integer")
         values.append(value)
-    gold = obj.get("gold_cluster")
-    return Mention(
-        start=int(obj["start"]),
-        end=int(obj["end"]),
-        features=tuple(values),
-        gold_cluster=None if gold is None else int(gold),
-    )
+    fields = {"start": obj["start"], "end": obj["end"]}
+    if obj.get("gold_cluster") is not None:
+        fields["gold_cluster"] = obj["gold_cluster"]
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise CorpusError(f"{where}: {name} value {value!r} is not an integer")
+    return Mention(features=tuple(values), **fields)
 
 
 def load_corpus(path, schema):
@@ -148,10 +148,13 @@ def load_corpus(path, schema):
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {ln}: malformed JSON ({exc.msg})") from None
             try:
-                mentions = [
-                    _mention_from_json(mo, schema, f"line {ln}") for mo in obj.get("mentions", [])
-                ]
-                doc = Document(doc_id=str(obj["doc_id"]), tokens=list(obj["tokens"]), mentions=mentions)
+                tokens, mention_objs = obj["tokens"], obj.get("mentions", [])
+                if not isinstance(tokens, list) or not all(type(t) is str for t in tokens):
+                    raise CorpusError(f"line {ln}: tokens must be a list of strings")
+                if not isinstance(mention_objs, list) or not all(isinstance(mo, dict) for mo in mention_objs):
+                    raise CorpusError(f"line {ln}: mentions must be a list of objects")
+                mentions = [_mention_from_json(mo, schema, f"line {ln}") for mo in mention_objs]
+                doc = Document(doc_id=str(obj["doc_id"]), tokens=tokens, mentions=mentions)
             except KeyError as exc:
                 raise CorpusError(f"line {ln}: missing field {exc.args[0]!r}") from None
             if doc.doc_id in first_line:

@@ -18,11 +18,8 @@ def decode_antecedents(scores):
     some predecessor scores strictly above 0.  Ties at the maximum pick
     the earliest antecedent; a tie with the dummy stays DUMMY.
     """
-    out = []
-    for i in range(scores.k):
-        if i == 0:
-            out.append(DUMMY)
-            continue
+    out = [DUMMY][:scores.k]
+    for i in range(1, scores.k):
         row = scores.row(i)
         if not np.all(np.isfinite(row)):
             raise ValueError(f"non-finite score for mention {i}")
@@ -31,40 +28,24 @@ def decode_antecedents(scores):
     return out
 
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def clusters_from_links(assignment):
     """Transitive closure of antecedent links, singletons retained.
 
-    Returns clusters as sorted index lists, ordered by first mention.
+    Antecedents point backward, so one forward pass gives each mention
+    its antecedent's cluster.  Returns clusters as sorted index lists,
+    ordered by first mention.
     """
-    k = len(assignment)
-    uf = UnionFind(k)
+    clusters, owner = [], []
     for i, a in enumerate(assignment):
-        if a is not DUMMY:
-            if not 0 <= a < i:
-                raise ValueError(f"antecedent {a} of mention {i} is not a predecessor")
-            uf.union(i, a)
-    groups = {}
-    for i in range(k):
-        groups.setdefault(uf.find(i), []).append(i)
-    return sorted(groups.values(), key=lambda c: c[0])
+        if a is DUMMY:
+            owner.append(len(clusters))
+            clusters.append([])
+        elif not 0 <= a < i:
+            raise ValueError(f"antecedent {a} of mention {i} is not a predecessor")
+        else:
+            owner.append(owner[a])
+        clusters[owner[i]].append(i)
+    return clusters
 
 
 def predict_document(model, doc, drop_singletons=False):
@@ -86,16 +67,27 @@ def save_clusterings(clusterings, path):
 
 
 def load_clusterings(path):
-    out = {}
+    """Read {doc_id: clusters}; clusters are lists of integer mention ids."""
+    out, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {ln}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {ln}: malformed JSON ({exc.msg})") from None
-            if "doc_id" not in obj or "clusters" not in obj:
-                raise ValueError(f"{path}: line {ln}: need doc_id and clusters fields")
-            out[str(obj["doc_id"])] = [[int(m) for m in c] for c in obj["clusters"]]
+                raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
+            if not isinstance(obj, dict) or "doc_id" not in obj or "clusters" not in obj:
+                raise ValueError(f"{where}: need doc_id and clusters fields")
+            doc_id, clusters = str(obj["doc_id"]), obj["clusters"]
+            if doc_id in first_line:
+                raise ValueError(f"{where}: duplicate doc_id {doc_id!r} (first on line {first_line[doc_id]})")
+            if not isinstance(clusters, list) or not all(isinstance(c, list) for c in clusters):
+                raise ValueError(f"{where}: clusters must be a list of lists")
+            bad = [m for c in clusters for m in c if type(m) is not int]
+            if bad:
+                raise ValueError(f"{where}: mention id {bad[0]!r} is not an integer")
+            first_line[doc_id] = ln
+            out[doc_id] = clusters
     return out

@@ -1,8 +1,10 @@
 """Coreference metric suite: MUC, B3, CEAF_e, BLANC, CoNLL and AVG.
 
-Each metric exposes a *_counts function returning precision/recall
-numerators and denominators so that corpus-level scores micro-average
-across documents, in the style of the standard reference scorers.
+All four metrics read one document's key x response overlap matrix
+(``contingency``).  Each exposes a *_counts function returning
+precision/recall numerators and denominators so that corpus-level scores
+micro-average across documents, in the style of the standard reference
+scorers (Pradhan et al. 2014; CEAF_e after Luo 2005).
 
 Conventions: any 0/0 ratio is 0.  BLANC averages the F1 over coreference
 links and the F1 over non-links, except in the degenerate cases where
@@ -77,56 +79,30 @@ def align_universes(key, response):
     return key, response
 
 
-def _mention_map(clusters):
-    return {m: i for i, c in enumerate(clusters) for m in c}
+def contingency(key, response):
+    """(|key|, |response|) overlap counts C of two aligned partitions.
+
+    C[i, j] is the number of mentions in key cluster i and response
+    cluster j; its row and column sums are the cluster sizes.
+    """
+    owner = {m: j for j, c in enumerate(response) for m in c}
+    cells = np.fromiter((i * len(response) + owner[m] for i, c in enumerate(key) for m in c),
+                        dtype=np.int64)
+    return np.bincount(cells, minlength=len(key) * len(response)).reshape(len(key), len(response))
 
 
-def muc_counts(key, response):
-    """Link-based counts: cluster size minus number of partitions."""
-
-    def halves(gold, system):
-        mapping = _mention_map(system)
-        num = den = 0
-        for c in gold:
-            den += len(c) - 1
-            parts = {mapping[m] for m in c if m in mapping}
-            parts_count = len(parts) + sum(1 for m in c if m not in mapping)
-            num += len(c) - parts_count
-        return num, den
-
-    r_num, r_den = halves(key, response)
-    p_num, p_den = halves(response, key)
-    return p_num, p_den, r_num, r_den
+def muc_counts(C):
+    """Link-based counts: a cluster of n mentions split into p parts keeps n - p links."""
+    n, parts = int(C.sum()), int(np.count_nonzero(C))
+    return n - parts, n - C.shape[1], n - parts, n - C.shape[0]
 
 
-def muc(key, response):
-    key, response = align_universes(key, response)
-    return MetricTriple.from_counts(*muc_counts(key, response))
-
-
-def b_cubed_counts(key, response):
-    """Per-mention overlap ratios, summed (denominator = mention count)."""
-
-    def halves(gold, system):
-        mapping = _mention_map(system)
-        num = 0.0
-        den = 0
-        for c in gold:
-            for m in c:
-                den += 1
-                other = system[mapping[m]] if m in mapping else ()
-                overlap = sum(1 for x in c if x in set(other))
-                num += overlap / len(c)
-        return num, den
-
-    r_num, r_den = halves(key, response)
-    p_num, p_den = halves(response, key)
-    return p_num, p_den, r_num, r_den
-
-
-def b_cubed(key, response):
-    key, response = align_universes(key, response)
-    return MetricTriple.from_counts(*b_cubed_counts(key, response))
+def b_cubed_counts(C):
+    """Per-mention overlap ratios, summed as sum_ij C_ij^2 / |cluster| (denominator = mentions)."""
+    squares, n = C * C, int(C.sum())
+    p_num = float((squares.sum(axis=0) / C.sum(axis=0)).sum())
+    r_num = float((squares.sum(axis=1) / C.sum(axis=1)).sum())
+    return p_num, n, r_num, n
 
 
 def phi4(key_cluster, response_cluster):
@@ -143,36 +119,23 @@ def hungarian(similarity):
     return float(similarity[rows, cols].sum())
 
 
-def ceaf_e_counts(key, response):
-    sim = np.array([[phi4(kc, rc) for rc in response] for kc in key], dtype=np.float64)
-    total = hungarian(sim)
-    return total, len(response), total, len(key)
+def ceaf_e_counts(C):
+    """Hungarian alignment of clusters under phi4 = 2|K & R| / (|K| + |R|)."""
+    total = hungarian(2.0 * C / (C.sum(axis=1)[:, None] + C.sum(axis=0)[None, :]))
+    return total, C.shape[1], total, C.shape[0]
 
 
-def ceaf_e(key, response):
-    key, response = align_universes(key, response)
-    return MetricTriple.from_counts(*ceaf_e_counts(key, response))
+def _links(sizes):
+    """Number of mention pairs inside groups of the given sizes."""
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
-def _coref_links(clusters):
-    links = set()
-    for c in clusters:
-        members = sorted(c)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                links.add((members[a], members[b]))
-    return links
-
-
-def blanc_counts(key, response):
+def blanc_counts(C):
     """(num, p_den, r_den) for coref links and for non-coref links."""
-    universe = sorted(_check_partition(key, "key"))
-    ck = _coref_links(key)
-    cr = _coref_links(response)
-    n_pairs = len(universe) * (len(universe) - 1) // 2
-    c_num = len(ck & cr)
-    n_num = n_pairs - len(ck | cr)
-    return (c_num, len(cr), len(ck)), (n_num, n_pairs - len(cr), n_pairs - len(ck))
+    n_pairs, both = _links(C.sum()), _links(C)
+    key_links, resp_links = _links(C.sum(axis=1)), _links(C.sum(axis=0))
+    non = n_pairs - (key_links + resp_links - both)
+    return (both, resp_links, key_links), (non, n_pairs - resp_links, n_pairs - key_links)
 
 
 def blanc_from_counts(coref, non):
@@ -189,16 +152,25 @@ def blanc_from_counts(coref, non):
     )
 
 
+def muc(key, response):
+    return document_report(key, response).muc
+
+
+def b_cubed(key, response):
+    return document_report(key, response).b3
+
+
+def ceaf_e(key, response):
+    return document_report(key, response).ceaf_e
+
+
 def blanc(key, response):
     """Rand-style mean of the link F1 and the non-link F1.
 
     With fewer than two mentions there are no pairs at all; the score is
-    0 by convention and the caller is expected to flag it.
+    0 by convention and the report flags it.
     """
-    key, response = align_universes(key, response)
-    if len(_check_partition(key, "key")) < 2:
-        return MetricTriple(0.0, 0.0, 0.0)
-    return blanc_from_counts(*blanc_counts(key, response))
+    return document_report(key, response).blanc
 
 
 def summarize(muc_t, b3_t, ceafe_t, blanc_t):
@@ -213,32 +185,30 @@ class _Tally:
     muc: list = field(default_factory=lambda: [0.0, 0.0, 0.0, 0.0])
     b3: list = field(default_factory=lambda: [0.0, 0.0, 0.0, 0.0])
     ceafe: list = field(default_factory=lambda: [0.0, 0.0, 0.0, 0.0])
-    blanc_c: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    blanc_n: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    blanc: list = field(default_factory=lambda: [0.0] * 6)
 
     def add(self, key, response):
+        C = contingency(key, response)
+        coref, non = blanc_counts(C)
         for acc, counts in (
-            (self.muc, muc_counts(key, response)),
-            (self.b3, b_cubed_counts(key, response)),
-            (self.ceafe, ceaf_e_counts(key, response)),
+            (self.muc, muc_counts(C)),
+            (self.b3, b_cubed_counts(C)),
+            (self.ceafe, ceaf_e_counts(C)),
+            (self.blanc, coref + non),
         ):
             for i, c in enumerate(counts):
                 acc[i] += c
-        coref, non = blanc_counts(key, response)
-        for i in range(3):
-            self.blanc_c[i] += coref[i]
-            self.blanc_n[i] += non[i]
 
     def report(self):
         muc_t = MetricTriple.from_counts(*self.muc)
         b3_t = MetricTriple.from_counts(*self.b3)
         ceafe_t = MetricTriple.from_counts(*self.ceafe)
         flags = []
-        if all(v == 0 for v in (*self.blanc_c, *self.blanc_n)):
+        if not any(self.blanc):
             blanc_t = MetricTriple(0.0, 0.0, 0.0)
             flags.append("blanc degenerate: fewer than 2 mentions")
         else:
-            blanc_t = blanc_from_counts(tuple(self.blanc_c), tuple(self.blanc_n))
+            blanc_t = blanc_from_counts(self.blanc[:3], self.blanc[3:])
         conll, avg = summarize(muc_t, b3_t, ceafe_t, blanc_t)
         return MetricReport(muc=muc_t, b3=b3_t, ceaf_e=ceafe_t, blanc=blanc_t,
                             conll=conll, avg=avg, flags=tuple(flags))
@@ -246,10 +216,7 @@ class _Tally:
 
 def document_report(key, response):
     """Score one document's clusterings."""
-    key, response = align_universes(key, response)
-    tally = _Tally()
-    tally.add(key, response)
-    return tally.report()
+    return corpus_report({None: key}, {None: response})
 
 
 def corpus_report(keys, responses):

@@ -114,6 +114,32 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="line 2: feature 'Tense' value .* is not an integer"):
             load_corpus(path, SCHEMA)
 
+    @pytest.mark.parametrize("tokens", ["abcdefg", ["a", "b", 3, "d", "e", "f", "g"], None])
+    def test_non_string_tokens_rejected(self, tmp_path, tokens):
+        obj = dict(json.loads(self.ONE_DOC), doc_id="d2", tokens=tokens)
+        path = tmp_path / "tokens.jsonl"
+        path.write_text(self.ONE_DOC + json.dumps(obj) + "\n")
+        with pytest.raises(CorpusError, match="line 2: tokens must be a list of strings"):
+            load_corpus(path, SCHEMA)
+
+    @pytest.mark.parametrize("mentions", [[5], "ab", 5])
+    def test_non_object_mentions_rejected(self, tmp_path, mentions):
+        obj = dict(json.loads(self.ONE_DOC), doc_id="d2", mentions=mentions)
+        path = tmp_path / "mentions.jsonl"
+        path.write_text(self.ONE_DOC + json.dumps(obj) + "\n")
+        with pytest.raises(CorpusError, match="line 2: mentions must be a list of objects"):
+            load_corpus(path, SCHEMA)
+
+    @pytest.mark.parametrize("field", ["start", "end", "gold_cluster"])
+    @pytest.mark.parametrize("value", ["2", 2.0, 1.9, True])
+    def test_non_integer_span_or_cluster_rejected(self, tmp_path, field, value):
+        obj = json.loads(self.ONE_DOC)
+        obj["mentions"][1][field] = value
+        path = tmp_path / "span.jsonl"
+        path.write_text(self.ONE_DOC + json.dumps(dict(obj, doc_id="d2")) + "\n")
+        with pytest.raises(CorpusError, match=f"line 2: {field} value .* is not an integer"):
+            load_corpus(path, SCHEMA)
+
     def test_duplicate_doc_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text(self.ONE_DOC * 2)

@@ -110,7 +110,7 @@ class TestClusters:
     def test_matches_brute_force_small_k(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            k = int(rng.integers(1, 7))
+            k = int(rng.integers(1, 49))
             scores = PairScores(k, rng.normal(size=k * (k - 1) // 2))
             got = clusters_from_links(decode_antecedents(scores))
             assert got == brute_force_partition(scores)
@@ -162,4 +162,25 @@ class TestClusteringIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"doc_id": "x"}\n')
         with pytest.raises(ValueError, match="clusters"):
+            load_clusterings(path)
+
+    def test_duplicate_doc_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text('{"doc_id": "a", "clusters": [[0]]}\n\n{"doc_id": "a", "clusters": [[1]]}\n')
+        with pytest.raises(ValueError, match=r"dup\.jsonl: line 3: duplicate doc_id 'a' \(first on line 1\)"):
+            load_clusterings(path)
+
+    @pytest.mark.parametrize("mention", ["1.7", "1.0", "true", '"3"', "null"])
+    def test_non_integer_mention_rejected(self, tmp_path, mention):
+        path = tmp_path / "ids.jsonl"
+        path.write_text('{"doc_id": "a", "clusters": [[0]]}\n'
+                        f'{{"doc_id": "b", "clusters": [[0, {mention}]]}}\n')
+        with pytest.raises(ValueError, match="ids\\.jsonl: line 2: mention id .* is not an integer"):
+            load_clusterings(path)
+
+    @pytest.mark.parametrize("clusters", ["[5]", "5", "[[0], 1]", '"01"'])
+    def test_non_list_cluster_rejected(self, tmp_path, clusters):
+        path = tmp_path / "shape.jsonl"
+        path.write_text(f'{{"doc_id": "a", "clusters": {clusters}}}\n')
+        with pytest.raises(ValueError, match="shape\\.jsonl: line 1: clusters must be a list of lists"):
             load_clusterings(path)

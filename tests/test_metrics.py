@@ -251,15 +251,22 @@ class TestProperties:
                 assert a.f1 == pytest.approx(b.f1, abs=1e-12)
 
     def test_oracle_agreement_fuzz(self):
+        """Contiguous, non-contiguous and string mention ids, up to 30 mentions."""
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            items = list(range(int(rng.integers(2, 9))))
+        for trial in range(100):
+            n = int(rng.integers(2, 31))
+            items = list(range(n))
+            if trial % 3 == 1:
+                items = sorted(int(m) for m in rng.choice(1000, size=n, replace=False))
+            elif trial % 3 == 2:
+                items = [f"m{m}" for m in rng.permutation(n)]
             key = random_partition(rng, items)
             response = random_partition(rng, items)
-            assert muc(key, response).f1 == pytest.approx(oracle_muc(key, response)[2], abs=1e-12)
-            assert b_cubed(key, response).f1 == pytest.approx(
-                oracle_b_cubed(key, response)[2], abs=1e-12
-            )
+            for metric, oracle in ((muc, oracle_muc), (b_cubed, oracle_b_cubed)):
+                got = metric(key, response)
+                assert (got.precision, got.recall, got.f1) == pytest.approx(
+                    oracle(key, response), abs=1e-12
+                )
             assert blanc(key, response).f1 == pytest.approx(
                 oracle_blanc(key, response), abs=1e-12
             )
