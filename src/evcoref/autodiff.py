@@ -4,19 +4,25 @@ Model code builds values through the primitives below; every call appends
 one entry to a :class:`Tape` (the computation record).  ``Tape.backward``
 replays the record once in reverse, accumulating gradients into the
 :class:`Parameter` leaves registered through ``Tape.watch``.  The model's
-blocks are fused primitives (``mlp``, ``gated_mix``), one entry each, so a
-document's record stays short.  A tape made with ``record=False`` keeps
-no record: scoring runs on one and frees each intermediate as soon as
-nothing reads it.
+blocks are fused primitives (``mlp``, ``pair_mlp``, ``gated_mix``), one
+entry each, so a document's record stays short.  A tape made with
+``record=False`` keeps no record: scoring runs on one and frees each
+intermediate as soon as nothing reads it.
 
-All primitives accept both single vectors (1-D) and row-batched matrices
-(2-D), so a whole document's mention pairs can be pushed through the model
-as one short record.  Everything is float64 and deterministic: identical
+All primitives except ``pair_mlp`` (row pairs of a 2-D matrix) accept
+both single vectors (1-D) and row-batched matrices (2-D), so a whole
+document's mention pairs can be pushed through the model as one short
+record.  Everything is float64 and deterministic: identical
 inputs give bit-identical outputs.
 """
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from itertools import accumulate
+
 import numpy as np
+from scipy import sparse
 
 # ||t||^2 below this threshold makes the projection return (0, h).
 PROJECTION_EPS = 1e-12
@@ -266,12 +272,28 @@ def sigmoid(x):
 def mlp(w1, b1, w2, b2, x, squash=False):
     """affine -> ReLU -> affine, then sigmoid when ``squash``, as one node.
 
-    Values and gradients are those of the chain of ``affine``, ``relu``
-    and ``sigmoid`` nodes, bit for bit; the backward pass keeps only the
-    hidden layer and the output.
+    ``x`` is a node, or a list of nodes read as their concatenation along
+    the last axis.  With at least as many rows as w1 has columns, each
+    block meets its own columns of w1 and the concatenation is never
+    built; with fewer, the copy is smaller than w1 and is built.  For one
+    node, values and gradients are those of the chain of ``affine``,
+    ``relu`` and ``sigmoid`` nodes, bit for bit; for blocks, up to
+    summation order.  The backward pass keeps only the hidden layer and
+    the output.
     """
-    xv, w1v, w2v = x.value, w1.value, w2.value
-    hidden = np.maximum(_affine_value("mlp", w1v, b1.value, xv), 0.0)
+    w1v, w2v = w1.value, w2.value
+    if isinstance(x, list) and (x[0].value.ndim == 1 or len(x[0].value) < w1v.shape[-1]):
+        x = concat(x)
+    parts = x if isinstance(x, list) else [x]
+    xvs = [p.value for p in parts]
+    bounds = [0, *accumulate(v.shape[-1] for v in xvs)]
+    if w1v.ndim != 2 or bounds[-1] != w1v.shape[1] or any(v.shape[:-1] != xvs[0].shape[:-1] for v in xvs):
+        raise ShapeMismatch(f"mlp: weight {w1v.shape} cannot act on inputs {[v.shape for v in xvs]}")
+    blocks = [w1v[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    pre = _affine_value("mlp", blocks[0], b1.value, xvs[0])
+    for wb, v in zip(blocks[1:], xvs[1:]):
+        pre += v @ wb.T
+    hidden = np.maximum(pre, 0.0)
     out = _affine_value("mlp", w2v, b2.value, hidden)
     if squash:
         out = _sigmoid_value(out)
@@ -280,14 +302,19 @@ def mlp(w1, b1, w2, b2, x, squash=False):
         if squash:
             g = g * out * (1.0 - out)
         dw2, db2, dh = _affine_grads(g, w2v, hidden)
-        dw1, db1, dx = _affine_grads(dh * (hidden > 0.0), w1v, xv)
+        dpre = dh * (hidden > 0.0)
+        # Against the whole of w1, dx holds every block's gradient, sliced as concat's backward would.
+        dw1, db1, dx = _affine_grads(dpre, w1v, xvs[0])
+        if len(parts) > 1:
+            dw1 = np.concatenate([dw1] + [dpre.T @ v for v in xvs[1:]], axis=1)
         _accum(w2, dw2)
         _accum(b2, db2)
         _accum(w1, dw1)
         _accum(b1, db1)
-        _accum(x, dx)
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
+            _accum(part, dx[..., lo:hi])
 
-    return x.tape._append(out, backward)
+    return parts[0].tape._append(out, backward)
 
 
 def add(a, b):
@@ -374,17 +401,139 @@ def concat(parts):
     return tape._append(out, backward)
 
 
+def scatter_rows(g, index, n):
+    """Sum the rows of ``g`` into ``n`` rows by ``index``.
+
+    Bit for bit ``np.add.at(np.zeros((n,) + g.shape[1:]), index, g)``:
+    every output row adds its terms in input order, starting from 0.
+    ``index`` is an integer vector, summed by one flat ``np.bincount``,
+    or a sparse 0/1 matrix whose rows list their columns in ascending
+    order (``RowPairs.incidence``): ``index @ g`` adds each row's terms
+    in column order, as ``np.add.at`` does for the index list it encodes.
+    """
+    if sparse.issparse(index):
+        return index @ g
+    width = math.prod(g.shape[1:])
+    flat_g = g.reshape(len(index), width)
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=flat_g.ravel(), minlength=n * width)
+    return out.reshape((n,) + g.shape[1:])
+
+
 def take_rows(x, indices):
-    """Gather rows (2-D) or elements (1-D) by integer index."""
+    """Gather rows (2-D) or elements (1-D) by a vector of integer indices."""
     idx = np.asarray(indices, dtype=np.intp)
     xv = x.value
+    if idx.ndim != 1:
+        raise ShapeMismatch(f"take_rows: need a vector of indices, got shape {idx.shape}")
     out = xv[idx]
 
     def backward(g):
-        # Scatter into a copy: x.grad may be shared with another node.
-        full = np.zeros_like(xv) if x.grad is None else x.grad.copy()
-        np.add.at(full, idx, g)
-        x.grad = full
+        _accum(x, scatter_rows(g, idx, xv.shape[0]))
+
+    return x.tape._append(out, backward)
+
+
+def _incidence(rows, n, width):
+    """(n, width) 0/1 CSR matrix with a 1 at (rows[q], q % width), columns ascending per row."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array((np.ones(len(rows)), order % width, indptr), shape=(n, width))
+
+
+class RowPairs:
+    """Row pairs (i[p], j[p]) of an n-row array, for ``pair_mlp``.
+
+    ``incidence`` holds the two sparse matrices that scatter pair-sized
+    gradients back onto the rows, built on first use, so forward-only
+    scoring never builds them:
+
+    - ``split @ g`` (2n rows) holds g's rows summed by i above those
+      summed by j, i.e. ``np.add.at`` of [g ; g] at [i ; j + n];
+    - ``merged @ [a ; b]`` (n rows) sums a's rows by i plus b's by j,
+      i.e. ``np.add.at`` of [a ; b] at [i ; j].
+    """
+
+    def __init__(self, i, j, n):
+        self.i, self.j, self.n = i, j, n
+        for v in (i, j):
+            v.flags.writeable = False
+        self._incidence = None
+
+    def __len__(self):
+        return len(self.i)
+
+    @property
+    def incidence(self):
+        if self._incidence is None:
+            i, j, n, p = self.i, self.j, self.n, len(self)
+            self._incidence = (_incidence(np.concatenate([i, j + n]), 2 * n, p),
+                               _incidence(np.concatenate([i, j]), n, 2 * p))
+        return self._incidence
+
+
+@lru_cache(maxsize=64)
+def row_pairs(k):
+    """All pairs j < i of k rows, in row-major (score) order."""
+    i, j = np.tril_indices(k, -1)
+    return RowPairs(i, j, k)
+
+
+@lru_cache(maxsize=64)
+def full_pairs(n):
+    """All n * n ordered pairs (a, b) of n rows; pair (a, b) is row a * n + b."""
+    return RowPairs(np.repeat(np.arange(n), n), np.tile(np.arange(n), n), n)
+
+
+def pair_mlp(w1, b1, w2, b2, x, pairs, squash=False):
+    """``mlp`` of [x_i ; x_j ; x_i o x_j] for every row pair (i, j) of ``pairs``, as one node.
+
+    W1 = [A | B | C] by input third, so x_i·Aᵀ and x_j·Bᵀ are computed
+    once per row of x and gathered; only the Hadamard third runs per
+    pair.  Values and gradients are those of ``take_rows``, ``mul``,
+    ``concat`` and ``mlp`` up to summation order.
+    """
+    xv, w1v, w2v = x.value, w1.value, w2.value
+    if xv.ndim != 2 or xv.shape[0] != pairs.n or w1v.ndim != 2 or w1v.shape[1] != 3 * xv.shape[1]:
+        raise ShapeMismatch(
+            f"pair_mlp: weight {w1v.shape} cannot act on pairs of {pairs.n} rows of {xv.shape}"
+        )
+    d = xv.shape[1]
+    a, b, c = w1v[:, :d], w1v[:, d : 2 * d], w1v[:, 2 * d :]
+    i, j = pairs.i, pairs.j
+    prod = xv[i] * xv[j]
+    hidden = _affine_value("pair_mlp", c, b1.value, prod)
+    hidden += (xv @ a.T)[i]
+    hidden += (xv @ b.T)[j]
+    np.maximum(hidden, 0.0, out=hidden)
+    out = _affine_value("pair_mlp", w2v, b2.value, hidden)
+    if squash:
+        out = _sigmoid_value(out)
+
+    def backward(g):
+        if squash:
+            g = g * out * (1.0 - out)
+        dw2, db2, dh = _affine_grads(g, w2v, hidden)
+        dpre = dh * (hidden > 0.0)
+        split, merged = pairs.incidence
+        n, p = pairs.n, len(pairs)
+        s = scatter_rows(dpre, split, 2 * n)
+        s_i, s_j = s[:n], s[n:]
+        # Written in place: no concatenation copies of pair-sized arrays.
+        dw1 = np.empty_like(w1v)
+        np.matmul(s_i.T, xv, out=dw1[:, :d])
+        np.matmul(s_j.T, xv, out=dw1[:, d : 2 * d])
+        np.matmul(dpre.T, prod, out=dw1[:, 2 * d :])
+        dprod = dpre @ c
+        cross = np.empty((2 * p, d))
+        np.multiply(dprod, xv[j], out=cross[:p])
+        np.multiply(dprod, xv[i], out=cross[p:])
+        _accum(w2, dw2)
+        _accum(b2, db2)
+        _accum(w1, dw1)
+        _accum(b1, dpre.sum(axis=0))
+        _accum(x, s_i @ a + s_j @ b + scatter_rows(cross, merged, n))
 
     return x.tape._append(out, backward)
 

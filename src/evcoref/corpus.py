@@ -147,14 +147,18 @@ def load_corpus(path, schema):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {ln}: malformed JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise CorpusError(f"line {ln}: expected a JSON object, got {type(obj).__name__}")
             try:
                 tokens, mention_objs = obj["tokens"], obj.get("mentions", [])
+                if type(obj["doc_id"]) is not str:
+                    raise CorpusError(f"line {ln}: doc_id {obj['doc_id']!r} is not a string")
                 if not isinstance(tokens, list) or not all(type(t) is str for t in tokens):
                     raise CorpusError(f"line {ln}: tokens must be a list of strings")
                 if not isinstance(mention_objs, list) or not all(isinstance(mo, dict) for mo in mention_objs):
                     raise CorpusError(f"line {ln}: mentions must be a list of objects")
                 mentions = [_mention_from_json(mo, schema, f"line {ln}") for mo in mention_objs]
-                doc = Document(doc_id=str(obj["doc_id"]), tokens=tokens, mentions=mentions)
+                doc = Document(doc_id=obj["doc_id"], tokens=tokens, mentions=mentions)
             except KeyError as exc:
                 raise CorpusError(f"line {ln}: missing field {exc.args[0]!r}") from None
             if doc.doc_id in first_line:

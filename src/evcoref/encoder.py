@@ -100,12 +100,12 @@ def init_feature_embedders(schema, l, rng):
     ]
 
 
-def feature_rows(mentions, u, emb_node, cardinality):
-    """Embedding rows for feature u of every mention, as a (k, l) node."""
-    values = np.array([m.features[u] for m in mentions], dtype=np.intp)
-    if values.size and (values.min() < 1 or values.max() > cardinality):
+def feature_rows(mentions, u, cardinality):
+    """Embedding-row index (value - 1) of feature u for every mention, as a (k,) int array."""
+    rows = np.array([m.features[u] for m in mentions], dtype=np.intp) - 1
+    if rows.size and (rows.min() < 0 or rows.max() >= cardinality):
         raise ValueError(f"feature value out of range for cardinality {cardinality}")
-    return take_rows(emb_node, values - 1)
+    return rows
 
 
 def embed_features(mention, embedders, tape):
@@ -113,6 +113,6 @@ def embed_features(mention, embedders, tape):
     out = []
     for u, emb in enumerate(embedders):
         card, l = emb.value.shape
-        row = feature_rows([mention], u, tape.watch(emb), card)
+        row = take_rows(tape.watch(emb), feature_rows([mention], u, card))
         out.append(reshape(row, (l,)))
     return out

@@ -80,7 +80,9 @@ def load_clusterings(path):
                 raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
             if not isinstance(obj, dict) or "doc_id" not in obj or "clusters" not in obj:
                 raise ValueError(f"{where}: need doc_id and clusters fields")
-            doc_id, clusters = str(obj["doc_id"]), obj["clusters"]
+            doc_id, clusters = obj["doc_id"], obj["clusters"]
+            if type(doc_id) is not str:
+                raise ValueError(f"{where}: doc_id {doc_id!r} is not a string")
             if doc_id in first_line:
                 raise ValueError(f"{where}: duplicate doc_id {doc_id!r} (first on line {first_line[doc_id]})")
             if not isinstance(clusters, list) or not all(isinstance(c, list) for c in clusters):

@@ -6,9 +6,11 @@ h_ij is split into components parallel and orthogonal to t_ij and mixed
 by a learned sigmoid gate before the final concatenation; "simple" mode
 concatenates the raw h_ij; "baseline" mode uses t_ij alone.
 
-Every function below works on single vectors and on row-batched
-matrices alike, so ``score_document`` can push all j < i pairs of a
-document through the model in one tape.
+``trigger_pair`` and ``feature_pair`` take a (rows, width) node and the
+row pairs to score, and run their FFNN's per-row terms once per row
+(``autodiff.pair_mlp``).  The other functions work on single vectors and
+on row-batched matrices alike, so ``score_document`` pushes all j < i
+pairs of a document through the model in one short tape.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, concat, gated_mix, mlp, reshape, take_rows
+from .autodiff import (Parameter, Tape, concat, full_pairs, gated_mix, mlp, pair_mlp, reshape, row_pairs,
+                       take_rows)
 from .encoder import encode_tokens, feature_rows, trigger_reprs
 
 MODES = ("baseline", "simple", "cdgm")
@@ -66,10 +69,16 @@ def init_ffnn(name, in_width, out_width, rng, out_sigmoid=False):
     )
 
 
-def ffnn_apply(f, x):
-    tape = x.tape
+def ffnn_apply(f, x, pairs=None):
+    """f on x, or on [x_i ; x_j ; x_i o x_j] for each row pair (i, j) of ``pairs``.
+
+    Without ``pairs``, x may be a list of blocks, read as their concatenation.
+    """
+    tape = x[0].tape if isinstance(x, list) else x.tape
     w1, b1, w2, b2 = (tape.watch(p) for p in f.params())
-    return mlp(w1, b1, w2, b2, x, squash=f.out_sigmoid)
+    if pairs is None:
+        return mlp(w1, b1, w2, b2, x, squash=f.out_sigmoid)
+    return pair_mlp(w1, b1, w2, b2, x, pairs, squash=f.out_sigmoid)
 
 
 @dataclass
@@ -117,16 +126,16 @@ def init_pair_model(schema, d, l, p, mode, rng):
     return PairModelParams(mode=mode, ffnn_t=ffnn_t, ffnn_u=ffnn_u, ffnn_g=ffnn_g, ffnn_a=ffnn_a)
 
 
-def trigger_pair(t_i, t_j, pm):
-    """t_ij from [t_i ; t_j ; t_i o t_j]."""
-    return ffnn_apply(pm.ffnn_t, concat([t_i, t_j, t_i * t_j]))
+def trigger_pair(t_all, pairs, pm):
+    """t_ij from [t_i ; t_j ; t_i o t_j] for each row pair (i, j) of the trigger rows."""
+    return ffnn_apply(pm.ffnn_t, t_all, pairs)
 
 
-def feature_pair(h_i, h_j, pm, u):
-    """h_ij for feature u from [h_i ; h_j ; h_i o h_j]."""
+def feature_pair(x, pairs, pm, u):
+    """h_ij for feature u from [h_i ; h_j ; h_i o h_j] for each row pair of the embedding rows x."""
     if not 0 <= u < len(pm.ffnn_u):
         raise ValueError(f"feature index {u} out of range for K={len(pm.ffnn_u)}")
-    return ffnn_apply(pm.ffnn_u[u], concat([h_i, h_j, h_i * h_j]))
+    return ffnn_apply(pm.ffnn_u[u], x, pairs)
 
 
 def cdgm(t_ij, h_ij, pm, u):
@@ -136,12 +145,16 @@ def cdgm(t_ij, h_ij, pm, u):
     orthogonal one carries new information.  A gate near 1 trusts the
     new information, near 0 it falls back on the trigger context.
     """
-    gate = ffnn_apply(pm.ffnn_g[u], concat([t_ij, h_ij]))
+    gate = ffnn_apply(pm.ffnn_g[u], [t_ij, h_ij])
     return gated_mix(gate, t_ij, h_ij)
 
 
 def assemble_pair(t_ij, parts, mode):
-    """Final pair representation f_ij for the given mode."""
+    """Final pair representation f_ij for the given mode, as one node.
+
+    ``score_document_node`` hands the blocks [t_ij, *parts] to
+    ``score_pair`` instead, so the (P, (K+1)p) copy is never built.
+    """
     if mode == "baseline":
         if parts:
             raise ValueError("baseline mode takes no feature parts")
@@ -150,7 +163,10 @@ def assemble_pair(t_ij, parts, mode):
 
 
 def score_pair(f_ij, pm):
-    """Unbounded coreference score; scalar node for a single pair."""
+    """Unbounded coreference score; scalar node for a single pair.
+
+    ``f_ij`` is a node or the list of its blocks in layout order.
+    """
     out = ffnn_apply(pm.ffnn_a, f_ij)
     if out.value.ndim == 1:
         return reshape(out, ())
@@ -189,31 +205,39 @@ class PairScores:
 
 
 def pair_indices(k):
-    """Row indices (i_vec, j_vec) for all pairs j < i, in score order."""
-    return np.tril_indices(k, -1)
+    """Row indices (i_vec, j_vec) for all pairs j < i, in score order (read-only arrays)."""
+    pairs = row_pairs(k)
+    return pairs.i, pairs.j
 
 
 def score_document_node(doc, model, tape):
     """Scores for all j < i pairs as one (P,) node on ``tape``.
 
-    The per-pair inputs of each FFNN are built inline, so on a
-    non-recording tape they are freed as soon as the FFNN has read them.
+    h_ij for feature u depends only on the value pair (f_i[u], f_j[u]).
+    When the document has more pairs than feature u has value pairs, its
+    FFNN runs once on the whole value-pair table and each pair gathers
+    its row by value code; otherwise it runs on the document's pairs.
     """
     k = len(doc.mentions)
     if k < 2:
         return None
-    i_vec, j_vec = pair_indices(k)
+    pairs = row_pairs(k)
     t_all = trigger_reprs(encode_tokens(doc, model.encoder, tape), doc.mentions)
-    t_ij = trigger_pair(take_rows(t_all, i_vec), take_rows(t_all, j_vec), model.pair)
+    t_ij = trigger_pair(t_all, pairs, model.pair)
 
     parts = []
     if model.pair.mode != "baseline":
         for u, emb in enumerate(model.embedders):
-            h_all = feature_rows(doc.mentions, u, tape.watch(emb), emb.value.shape[0])
-            h_ij = feature_pair(take_rows(h_all, i_vec), take_rows(h_all, j_vec), model.pair, u)
+            n = emb.value.shape[0]
+            rows = feature_rows(doc.mentions, u, n)
+            if len(pairs) > n * n:
+                table = feature_pair(tape.watch(emb), full_pairs(n), model.pair, u)
+                h_ij = take_rows(table, rows[pairs.i] * n + rows[pairs.j])
+            else:
+                h_ij = feature_pair(take_rows(tape.watch(emb), rows), pairs, model.pair, u)
             parts.append(cdgm(t_ij, h_ij, model.pair, u) if model.pair.mode == "cdgm" else h_ij)
 
-    return score_pair(assemble_pair(t_ij, parts, model.pair.mode), model.pair)
+    return score_pair([t_ij] + parts, model.pair)
 
 
 def score_document(doc, model):

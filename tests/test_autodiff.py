@@ -11,6 +11,7 @@ from evcoref.autodiff import (
     Parameter,
     ShapeMismatch,
     Tape,
+    add,
     affine,
     concat,
     dot,
@@ -20,9 +21,13 @@ from evcoref.autodiff import (
     matmul_const,
     mlp,
     mul,
+    full_pairs,
+    pair_mlp,
     project_decompose,
     relu,
     reshape,
+    row_pairs,
+    scatter_rows,
     sigmoid,
     sum_all,
     take_rows,
@@ -173,6 +178,43 @@ class TestBackward:
         t.backward(sum_all(gathered))
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("shape", [(6,), (6, 3), (6, 2, 2)])
+    def test_scatter_rows_bit_identical_to_add_at(self, shape):
+        rng = np.random.default_rng(22)
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        idx = np.array([3, 0, 3, 3, 1, 0])  # repeats, and rows 2 and 4 get nothing
+        want = np.zeros((5,) + shape[1:])
+        np.add.at(want, idx, g)
+        got = scatter_rows(g, idx, 5)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_scatter_rows_no_indices(self):
+        got = scatter_rows(np.zeros((0, 3)), np.zeros(0, dtype=np.intp), 4)
+        np.testing.assert_array_equal(got, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("pairs", [row_pairs(1), row_pairs(2), row_pairs(9), full_pairs(4)],
+                             ids=["k1", "k2", "k9", "full4"])
+    def test_pair_incidence_bit_identical_to_add_at(self, pairs):
+        rng = np.random.default_rng(23)
+        n, p = pairs.n, len(pairs)
+        g = rng.normal(size=(p, 3)) * 10.0 ** rng.integers(-8, 8, size=(p, 3))
+        h = rng.normal(size=(2 * p, 3)) * 10.0 ** rng.integers(-8, 8, size=(2 * p, 3))
+        split, merged = pairs.incidence
+        want = np.zeros((2 * n, 3))
+        np.add.at(want, np.concatenate([pairs.i, pairs.j + n]), np.concatenate([g, g]))
+        assert scatter_rows(g, split, 2 * n).tobytes() == want.tobytes()
+        want = np.zeros((n, 3))
+        np.add.at(want, np.concatenate([pairs.i, pairs.j]), h)
+        assert scatter_rows(h, merged, n).tobytes() == want.tobytes()
+
+    def test_take_rows_scatter_into_existing_gradient(self):
+        t = Tape()
+        x = Parameter("x", [[1.0, 2.0], [3.0, 4.0]])
+        node = t.watch(x)
+        both = add(take_rows(node, [1, 1]), take_rows(node, [0, 1]))
+        t.backward(sum_all(both))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [3.0, 3.0]])
+
     def test_matmul_const_gradient(self):
         t = Tape()
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -322,6 +364,38 @@ class TestFusedNodes:
 
         _assert_same(_value_and_grads(fused, params, v), _value_and_grads(chain, params, v))
 
+    @pytest.mark.parametrize("rows", [None, 7, 12])  # 9 input columns: below 9 rows the blocks are joined
+    @pytest.mark.parametrize("squash", [False, True])
+    def test_mlp_blocks_match_concatenated_input(self, rows, squash):
+        rng = np.random.default_rng(34)
+        lead = () if rows is None else (rows,)
+        params = [Parameter("w1", rng.normal(size=(6, 9))), Parameter("b1", rng.normal(size=6)),
+                  Parameter("w2", rng.normal(size=(3, 6))), Parameter("b2", rng.normal(size=3)),
+                  Parameter("x1", rng.normal(size=lead + (2,))), Parameter("x2", rng.normal(size=lead + (4,))),
+                  Parameter("x3", rng.normal(size=lead + (3,)))]
+        v = rng.normal(size=lead + (3,))
+
+        def blocks(t):
+            w1, b1, w2, b2, *xs = (t.watch(p) for p in params)
+            return mlp(w1, b1, w2, b2, xs, squash=squash)
+
+        def joined(t):
+            w1, b1, w2, b2, *xs = (t.watch(p) for p in params)
+            return mlp(w1, b1, w2, b2, concat(xs), squash=squash)
+
+        _assert_same(_value_and_grads(blocks, params, v), _value_and_grads(joined, params, v))
+
+    def test_mlp_blocks_shape_mismatch(self):
+        t = Tape()
+        w1, b1 = t.constant(np.ones((2, 5))), t.constant(np.ones(2))
+        w2, b2 = t.constant(np.ones((1, 2))), t.constant(np.ones(1))
+        with pytest.raises(ShapeMismatch, match="mlp"):
+            mlp(w1, b1, w2, b2, [t.constant(np.ones((6, 2))), t.constant(np.ones((6, 2)))])
+        with pytest.raises(ShapeMismatch, match="mlp"):
+            mlp(w1, b1, w2, b2, [t.constant(np.ones((6, 2))), t.constant(np.ones((7, 3)))])
+        with pytest.raises(ShapeMismatch, match="concat"):  # fewer rows than w1 has columns: joined first
+            mlp(w1, b1, w2, b2, [t.constant(np.ones((3, 2))), t.constant(np.ones((4, 3)))])
+
     @pytest.mark.parametrize("case", ["vector", "batch", "singular"])
     def test_gated_mix_matches_projection_and_mix(self, case):
         rng = np.random.default_rng(32)
@@ -346,6 +420,37 @@ class TestFusedNodes:
         _assert_same(fused_out, _value_and_grads(chain, params, v))
         if case == "singular":
             np.testing.assert_array_equal(fused_out[1][1][2], 0.0)  # no gradient through t
+
+    @pytest.mark.parametrize("pairs", [row_pairs(2), row_pairs(3), row_pairs(17), full_pairs(3)],
+                             ids=["k2", "k3", "k17", "full3"])
+    @pytest.mark.parametrize("squash", [False, True])
+    def test_pair_mlp_matches_primitive_chain(self, pairs, squash):
+        """Split first layer vs gathered [x_i ; x_j ; x_i o x_j]: summation order only."""
+        rng = np.random.default_rng(33)
+        d = 4
+        params = [Parameter("w1", rng.normal(size=(6, 3 * d))), Parameter("b1", rng.normal(size=6)),
+                  Parameter("w2", rng.normal(size=(3, 6))), Parameter("b2", rng.normal(size=3)),
+                  Parameter("x", rng.normal(size=(pairs.n, d)))]
+        v = rng.normal(size=(len(pairs), 3))
+
+        def fused(t):
+            return pair_mlp(*(t.watch(p) for p in params), pairs, squash=squash)
+
+        def chain(t):
+            w1, b1, w2, b2, x = (t.watch(p) for p in params)
+            x_i, x_j = take_rows(x, pairs.i), take_rows(x, pairs.j)
+            return mlp(w1, b1, w2, b2, concat([x_i, x_j, x_i * x_j]), squash=squash)
+
+        _assert_same(_value_and_grads(fused, params, v), _value_and_grads(chain, params, v))
+
+    def test_pair_mlp_shape_mismatch(self):
+        t = Tape()
+        w1, b1 = t.constant(np.ones((2, 9))), t.constant(np.ones(2))
+        w2, b2 = t.constant(np.ones((1, 2))), t.constant(np.ones(1))
+        with pytest.raises(ShapeMismatch, match="pair_mlp"):
+            pair_mlp(w1, b1, w2, b2, t.constant(np.ones((3, 4))), row_pairs(3))
+        with pytest.raises(ShapeMismatch, match="pair_mlp"):
+            pair_mlp(w1, b1, w2, b2, t.constant(np.ones((4, 3))), row_pairs(3))
 
     def test_gated_mix_shape_mismatch(self):
         t = Tape()

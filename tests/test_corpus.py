@@ -130,6 +130,23 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="line 2: mentions must be a list of objects"):
             load_corpus(path, SCHEMA)
 
+    @pytest.mark.parametrize("line", ["[1]", "5", '"d2"', "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "shape.jsonl"
+        path.write_text(self.ONE_DOC + line + "\n")
+        with pytest.raises(CorpusError, match="line 2: expected a JSON object"):
+            load_corpus(path, SCHEMA)
+
+    @pytest.mark.parametrize("doc_id", [5, 5.0, True, None, ["5"]])
+    def test_non_string_doc_id_rejected(self, tmp_path, doc_id):
+        """A coerced ``5`` would make a later ``"5"`` look like its duplicate."""
+        obj = json.loads(self.ONE_DOC)
+        path = tmp_path / "ids.jsonl"
+        lines = [json.dumps(dict(obj, doc_id=doc_id)), json.dumps(dict(obj, doc_id="5"))]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError, match="line 1: doc_id .* is not a string"):
+            load_corpus(path, SCHEMA)
+
     @pytest.mark.parametrize("field", ["start", "end", "gold_cluster"])
     @pytest.mark.parametrize("value", ["2", 2.0, 1.9, True])
     def test_non_integer_span_or_cluster_rejected(self, tmp_path, field, value):

@@ -170,6 +170,15 @@ class TestClusteringIO:
         with pytest.raises(ValueError, match=r"dup\.jsonl: line 3: duplicate doc_id 'a' \(first on line 1\)"):
             load_clusterings(path)
 
+    @pytest.mark.parametrize("doc_id", ["5", "5.0", "true", "null", '["5"]'])
+    def test_non_string_doc_id_rejected(self, tmp_path, doc_id):
+        """A coerced ``5`` would make a later ``"5"`` look like its duplicate."""
+        path = tmp_path / "ids.jsonl"
+        path.write_text(f'{{"doc_id": {doc_id}, "clusters": [[0]]}}\n'
+                        '{"doc_id": "5", "clusters": [[0]]}\n')
+        with pytest.raises(ValueError, match="ids\\.jsonl: line 1: doc_id .* is not a string"):
+            load_clusterings(path)
+
     @pytest.mark.parametrize("mention", ["1.7", "1.0", "true", '"3"', "null"])
     def test_non_integer_mention_rejected(self, tmp_path, mention):
         path = tmp_path / "ids.jsonl"

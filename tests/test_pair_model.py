@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from evcoref import pair_model
-from evcoref.autodiff import Tape, grad_check
+from evcoref.autodiff import Tape, dot, grad_check
 from evcoref.corpus import Document, FeatureSchema, Mention
-from evcoref.encoder import embed_features, encode_tokens, trigger_repr
+from evcoref.autodiff import full_pairs, row_pairs, take_rows
+from evcoref.encoder import embed_features, encode_tokens, trigger_reprs
 from evcoref.model import CorefModel, Dims
 from evcoref.pair_model import (
     PairScores,
@@ -59,8 +60,8 @@ class TestTriggerPair:
         pm = init_pair_model(SCHEMA2, 6, 4, 5, "cdgm", np.random.default_rng(0))
         zero_ffnn(pm.ffnn_t)
         t = Tape()
-        out = trigger_pair(t.constant(np.zeros(6)), t.constant(np.zeros(6)), pm)
-        np.testing.assert_array_equal(out.value, np.zeros(5))
+        out = trigger_pair(t.constant(np.zeros((2, 6))), row_pairs(2), pm)
+        np.testing.assert_array_equal(out.value, np.zeros((1, 5)))
 
     def test_elementwise_slot_squares(self):
         """With identical triggers the product slot holds the squares."""
@@ -70,44 +71,49 @@ class TestTriggerPair:
         pm.ffnn_t.b1.value[...] = 0.0
         v = np.array([1.0, -2.0, 3.0])
         t = Tape()
-        out = trigger_pair(t.constant(v), t.constant(v), pm)
+        out = trigger_pair(t.constant([v, v]), row_pairs(2), pm)
         hidden0 = (v * v).sum()
         np.testing.assert_allclose(
-            out.value, pm.ffnn_t.w2.value[:, 0] * hidden0 + pm.ffnn_t.b2.value, atol=1e-12
+            out.value[0], pm.ffnn_t.w2.value[:, 0] * hidden0 + pm.ffnn_t.b2.value, atol=1e-12
         )
 
     def test_matches_straight_line(self):
         rng = np.random.default_rng(5)
         pm = init_pair_model(SCHEMA2, 6, 4, 5, "cdgm", np.random.default_rng(1))
-        ti, tj = rng.normal(size=6), rng.normal(size=6)
+        rows = rng.normal(size=(4, 6))
         t = Tape()
-        got = trigger_pair(t.constant(ti), t.constant(tj), pm).value
-        want = ffnn_by_hand(pm.ffnn_t, np.concatenate([ti, tj, ti * tj]))
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        got = trigger_pair(t.constant(rows), row_pairs(4), pm).value
+        for p, (i, j) in enumerate(zip(*pair_indices(4))):
+            ti, tj = rows[i], rows[j]
+            want = ffnn_by_hand(pm.ffnn_t, np.concatenate([ti, tj, ti * tj]))
+            np.testing.assert_allclose(got[p], want, atol=1e-12)
 
 
 class TestFeaturePair:
     def test_matches_straight_line(self):
         rng = np.random.default_rng(6)
         pm = init_pair_model(SCHEMA2, 6, 4, 5, "cdgm", np.random.default_rng(2))
-        hi, hj = rng.normal(size=4), rng.normal(size=4)
+        rows = rng.normal(size=(3, 4))
         t = Tape()
-        got = feature_pair(t.constant(hi), t.constant(hj), pm, 1).value
-        want = ffnn_by_hand(pm.ffnn_u[1], np.concatenate([hi, hj, hi * hj]))
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        got = feature_pair(t.constant(rows), full_pairs(3), pm, 1).value
+        for a in range(3):
+            for b in range(3):
+                hi, hj = rows[a], rows[b]
+                want = ffnn_by_hand(pm.ffnn_u[1], np.concatenate([hi, hj, hi * hj]))
+                np.testing.assert_allclose(got[a * 3 + b], want, atol=1e-12)
 
     def test_zero_everything(self):
         pm = init_pair_model(SCHEMA2, 6, 4, 5, "cdgm", np.random.default_rng(0))
         zero_ffnn(pm.ffnn_u[0])
         t = Tape()
-        out = feature_pair(t.constant(np.zeros(4)), t.constant(np.zeros(4)), pm, 0)
-        np.testing.assert_array_equal(out.value, np.zeros(5))
+        out = feature_pair(t.constant(np.zeros((2, 4))), row_pairs(2), pm, 0)
+        np.testing.assert_array_equal(out.value, np.zeros((1, 5)))
 
     def test_bad_feature_index(self):
         pm = init_pair_model(SCHEMA2, 6, 4, 5, "cdgm", np.random.default_rng(0))
         t = Tape()
         with pytest.raises(ValueError):
-            feature_pair(t.constant(np.zeros(4)), t.constant(np.zeros(4)), pm, 2)
+            feature_pair(t.constant(np.zeros((2, 4))), row_pairs(2), pm, 2)
 
 
 class TestCdgm:
@@ -247,17 +253,16 @@ class TestScoreDocument:
         x = encode_tokens(doc, model.encoder, t)
         for i in range(1, 3):
             for j in range(i):
-                ti = trigger_repr(x, doc.mentions[i])
-                tj = trigger_repr(x, doc.mentions[j])
-                tij = trigger_pair(ti, tj, model.pair)
+                # Row pair (1, 0) of [mention j ; mention i] is the pair (i, j).
+                trig = trigger_reprs(x, [doc.mentions[j], doc.mentions[i]])
+                tij = trigger_pair(trig, row_pairs(2), model.pair)
                 parts = []
                 if mode != "baseline":
-                    hi = embed_features(doc.mentions[i], model.embedders, t)
-                    hj = embed_features(doc.mentions[j], model.embedders, t)
-                    for u in range(len(model.embedders)):
-                        hij = feature_pair(hi[u], hj[u], model.pair, u)
+                    for u, emb in enumerate(model.embedders):
+                        values = [doc.mentions[m].features[u] - 1 for m in (j, i)]
+                        hij = feature_pair(take_rows(t.watch(emb), values), row_pairs(2), model.pair, u)
                         parts.append(cdgm(tij, hij, model.pair, u) if mode == "cdgm" else hij)
-                one = float(score_pair(assemble_pair(tij, parts, mode), model.pair).value)
+                one = float(score_pair(assemble_pair(tij, parts, mode), model.pair).value[0])
                 assert one == pytest.approx(scores.score(i, j), abs=1e-10)
 
     def test_deterministic(self):
@@ -275,13 +280,11 @@ class TestScoreDocument:
             zero_ffnn(f)
         t = Tape()
         x = encode_tokens(doc, model_c.encoder, t)
-        hi = embed_features(doc.mentions[1], model_c.embedders, t)
-        hj = embed_features(doc.mentions[0], model_c.embedders, t)
-        ti = trigger_repr(x, doc.mentions[1])
-        tj = trigger_repr(x, doc.mentions[0])
-        tij = trigger_pair(ti, tj, model_c.pair)
+        tij = trigger_pair(trigger_reprs(x, doc.mentions[:2]), row_pairs(2), model_c.pair)
+        h0 = embed_features(doc.mentions[0], model_c.embedders, t)
+        h1 = embed_features(doc.mentions[1], model_c.embedders, t)
         for u in range(2):
-            hij = feature_pair(hi[u], hj[u], model_c.pair, u)
+            hij = feature_pair(t.constant([h0[u].value, h1[u].value]), row_pairs(2), model_c.pair, u)
             gated = cdgm(tij, hij, model_c.pair, u)
             np.testing.assert_allclose(gated.value, hij.value / 2.0, atol=1e-12)
 
@@ -311,6 +314,73 @@ class TestScoreDocument:
         assert scores.flat.shape == (3,)
 
 
+def oracle_scores(doc, model):
+    """Straight-line numpy scores, one pair at a time, from the model's raw arrays."""
+    enc, pm, w = model.encoder, model.pair, model.encoder.window
+    emb = enc.embeddings.value[enc.token_ids(doc.tokens)]
+    n = len(doc.tokens)
+    ctx = np.array([emb[max(0, q - w) : min(n - 1, q + w) + 1].mean(axis=0) for q in range(n)])
+    x = np.maximum(np.concatenate([emb, ctx], axis=1) @ enc.mix_w.value.T + enc.mix_b.value, 0.0)
+    trig = [x[m.start : m.end + 1].mean(axis=0) for m in doc.mentions]
+    scores, norms = [], []
+    for i in range(1, len(doc.mentions)):
+        for j in range(i):
+            t_ij = ffnn_by_hand(pm.ffnn_t, np.concatenate([trig[i], trig[j], trig[i] * trig[j]]))
+            parts = [t_ij]
+            for u, table in enumerate(model.embedders if pm.mode != "baseline" else []):
+                h_i = table.value[doc.mentions[i].features[u] - 1]
+                h_j = table.value[doc.mentions[j].features[u] - 1]
+                h_ij = ffnn_by_hand(pm.ffnn_u[u], np.concatenate([h_i, h_j, h_i * h_j]))
+                if pm.mode == "cdgm":
+                    gate = ffnn_by_hand(pm.ffnn_g[u], np.concatenate([t_ij, h_ij]))
+                    tt = t_ij @ t_ij
+                    par = (h_ij @ t_ij) / tt * t_ij if tt >= 1e-12 else np.zeros_like(t_ij)
+                    h_ij = gate * (h_ij - par) + (1.0 - gate) * par
+                parts.append(h_ij)
+            norms.append(t_ij @ t_ij)
+            scores.append(ffnn_by_hand(pm.ffnn_a, np.concatenate(parts))[0])
+    return np.array(scores), np.array(norms)
+
+
+def many_mention_doc(k, seed=0):
+    rng = np.random.default_rng(seed)
+    cards = FeatureSchema.default().cardinalities
+    mentions = [
+        Mention(2 * m, 2 * m + int(rng.integers(2)), tuple(1 + int(rng.integers(c)) for c in cards), m % 3)
+        for m in range(k)
+    ]
+    return Document("long", [f"t{int(v)}" for v in rng.integers(12, size=2 * k + 1)], mentions)
+
+
+def make_one_pair_singular(doc, model):
+    """Shift ffnn_t so one pair's hidden layer is all zero and its t_ij is exactly 0."""
+    f = model.pair.ffnn_t
+    t = Tape()
+    rows = trigger_reprs(encode_tokens(doc, model.encoder, t), doc.mentions).value
+    i, j = pair_indices(len(doc.mentions))
+    pre = np.concatenate([rows[i], rows[j], rows[i] * rows[j]], axis=1) @ f.w1.value.T + f.b1.value
+    lowest, second = np.sort(pre.max(axis=1))[:2]
+    f.b1.value -= (lowest + second) / 2.0  # only the lowest pair's units all stay below 0
+    f.b2.value[...] = 0.0
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("k", [5, 64])
+    @pytest.mark.parametrize("mode", ["baseline", "simple", "cdgm"])
+    def test_score_document_matches_straight_line(self, mode, k):
+        """k = 5 runs every feature FFNN on the document's pairs, k = 64 on the value tables."""
+        model = CorefModel(FeatureSchema.default(), ["<unk>"] + [f"t{v}" for v in range(10)], mode,
+                           Dims(d=8, l=4, p=6, w=1), seed=11)
+        doc = many_mention_doc(k, seed=k)
+        make_one_pair_singular(doc, model)
+        want, norms = oracle_scores(doc, model)
+        # One row on the ||t||^2 < eps branch, every other row far from it.
+        assert np.sum(norms == 0.0) == 1 and np.sort(norms)[1] > 1e-10
+        got = score_document(doc, model).flat
+        # Relative to the largest score: a score near 0 is a difference of larger terms.
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 class TestGradients:
     def test_full_pair_score_finite_differences(self):
         """Backward through the whole pipeline on a 2-mention instance."""
@@ -328,6 +398,26 @@ class TestGradients:
             return t, reshape(score_document_node(doc, model, t), ())
 
         report = grad_check(closure, model.parameters(), step=1e-5, tol=1e-4)
+        assert report.worst < 1e-4, report
+
+    def test_document_finite_differences_repeated_values(self):
+        """Six mentions, 15 pairs: Type's 4-row value table, Tense's per-pair path."""
+        schema = FeatureSchema((("Type", 2), ("Tense", 4)))
+        model = tiny_model(seed=3, schema=schema, dims=Dims(d=3, l=2, p=3, w=1))
+        values = [(1, 2), (2, 2), (1, 4), (1, 2), (2, 1), (1, 4)]
+        doc = Document("d", [f"t{q}" for q in range(13)],
+                       [Mention(2 * m, 2 * m + m % 2, f, m % 2) for m, f in enumerate(values)])
+        v = np.random.default_rng(4).normal(size=15)
+        pm = model.pair
+        # Everything up to and including the pair FFNNs; the gate and scorer are plain mlp nodes.
+        checked = [model.encoder.embeddings, model.encoder.mix_w, model.encoder.mix_b, *model.embedders,
+                   *pm.ffnn_t.params(), *(p for f in pm.ffnn_u for p in f.params())]
+
+        def closure():
+            t = Tape()
+            return t, dot(t.constant(v), score_document_node(doc, model, t))
+
+        report = grad_check(closure, checked, step=1e-5, tol=1e-4)
         assert report.worst < 1e-4, report
 
     def test_hidden_width_rule(self):
