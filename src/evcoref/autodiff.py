@@ -486,6 +486,20 @@ def full_pairs(n):
     return RowPairs(np.repeat(np.arange(n), n), np.tile(np.arange(n), n), n)
 
 
+def stacked_row_pairs(ks):
+    """``row_pairs`` of documents of ks[0], ks[1], ... rows stacked in that order.
+
+    Document d's pairs follow document d-1's, with its rows shifted by the
+    rows before it, so the pairs keep each document's score order.
+    """
+    if len(ks) == 1:
+        return row_pairs(ks[0])
+    starts = np.cumsum([0, *ks[:-1]])
+    blocks = [row_pairs(k) for k in ks]
+    return RowPairs(np.concatenate([b.i + s for b, s in zip(blocks, starts)]),
+                    np.concatenate([b.j + s for b, s in zip(blocks, starts)]), int(sum(ks)))
+
+
 def pair_mlp(w1, b1, w2, b2, x, pairs, squash=False):
     """``mlp`` of [x_i ; x_j ; x_i o x_j] for every row pair (i, j) of ``pairs``, as one node.
 
@@ -539,8 +553,9 @@ def pair_mlp(w1, b1, w2, b2, x, pairs, squash=False):
 
 
 def matmul_const(m, x):
-    """Apply a fixed (non-trainable) matrix on the left: m @ x."""
-    m = np.asarray(m, dtype=np.float64)
+    """Apply a fixed (non-trainable) matrix on the left: m @ x.  ``m`` may be a scipy sparse matrix."""
+    if not sparse.issparse(m):
+        m = np.asarray(m, dtype=np.float64)
     xv = x.value
     if m.ndim != 2 or xv.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matmul_const: matrix {m.shape} cannot act on {xv.shape}")
@@ -623,6 +638,7 @@ def _split(op, tv, hv, eps):
     """Parallel and orthogonal parts of hv against tv, row-wise.
 
     Also returns ``through(q)``, the gradient (dh, dt) of (q . parallel).
+    It is linear in q, so one call serves any linear mix of parallel parts.
     """
     if tv.shape != hv.shape:
         raise ShapeMismatch(f"{op}: shapes {tv.shape} and {hv.shape} differ")
@@ -633,10 +649,9 @@ def _split(op, tv, hv, eps):
     par_v = coef * tv
 
     def through(q):
-        qt = np.sum(q * tv, axis=-1, keepdims=True)
-        dh = np.where(ok, qt / denom, 0.0) * tv
-        dt = np.where(ok, coef * q + (qt / denom) * (hv - 2.0 * coef * tv), 0.0)
-        return dh, dt
+        # coef and r are 0 on singular rows, so both gradients are 0 there.
+        r = np.where(ok, np.sum(q * tv, axis=-1, keepdims=True) / denom, 0.0)
+        return r * tv, coef * q + r * (hv - 2.0 * coef * tv)
 
     return par_v, hv - par_v, through
 
@@ -669,25 +684,22 @@ def project_decompose(t, h, eps=PROJECTION_EPS):
 def gated_mix(gate, t, h, eps=PROJECTION_EPS):
     """gate * orthogonal + (1 - gate) * parallel, splitting h against t, as one node.
 
-    Values and gradients are those of ``project_decompose`` followed by
-    the elementwise mix, bit for bit, on both projection branches.
+    The output is gate * h + (1 - 2 gate) * parallel, so the backward pass
+    runs the projection's gradient once, on g * (1 - 2 gate).  Values are
+    those of ``project_decompose`` followed by the elementwise mix, bit for
+    bit; gradients agree up to summation order, on both projection branches.
     """
     gv = gate.value
     par_v, orth_v, through = _split("gated_mix", t.value, h.value, eps)
     if gv.shape != par_v.shape:
         raise ShapeMismatch(f"gated_mix: gate {gv.shape} and input {par_v.shape} differ")
-    keep = 1.0 - gv
-    out = gv * orth_v + keep * par_v
+    out = gv * orth_v + (1.0 - gv) * par_v
 
     def backward(g):
-        q_orth = g * gv
-        dh_orth, dt_orth = through(q_orth)
-        dh_par, dt_par = through(g * keep)
-        _accum(gate, g * orth_v - g * par_v)
-        _accum(h, (q_orth - dh_orth) + dh_par)
-        # Two writes, in the unfused chain's order, keep t's sum bit-identical.
-        _accum(t, -dt_orth)
-        _accum(t, dt_par)
+        dh, dt = through(g * (1.0 - 2.0 * gv))
+        _accum(gate, g * (orth_v - par_v))
+        _accum(h, g * gv + dh)
+        _accum(t, dt)
 
     return t.tape._append(out, backward)
 

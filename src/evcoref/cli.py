@@ -171,34 +171,72 @@ def schema_of(cfg):
     return FeatureSchema.from_dict(spec)
 
 
+def _lookup(cfg, dotted):
+    value = cfg
+    for part in dotted.split("."):
+        value = value[part]
+    return value
+
+
+def _typed(cfg, dotted, what, ok):
+    """The value at ``dotted``, or a ValueError naming the key when ``ok(value)`` fails; nothing is coerced."""
+    value = _lookup(cfg, dotted)
+    if not ok(value):
+        raise ValueError(f"config key {dotted!r} must be {what}, got {json.dumps(value)}")
+    return value
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def config_int(cfg, dotted):
+    return _typed(cfg, dotted, "an integer", _is_int)
+
+
+def config_number(cfg, dotted):
+    return float(_typed(cfg, dotted, "a number", lambda v: _is_int(v) or isinstance(v, float)))
+
+
+def config_flag(cfg, dotted):
+    return _typed(cfg, dotted, "true or false", lambda v: isinstance(v, bool))
+
+
+def _is_range(v):
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
+
+
+def config_range(cfg, dotted):
+    return tuple(_typed(cfg, dotted, "a list of two integers", _is_range))
+
+
 def gen_config_of(cfg, n_docs=0):
     g = cfg["gen"]
     return GenConfig(
         n_docs=n_docs,
-        tokens=tuple(g["tokens"]),
-        mentions=tuple(g["mentions"]),
-        clusters=tuple(g["clusters"]),
-        vocab_size=int(g["vocab_size"]),
-        ambiguity=float(g["ambiguity"]),
+        tokens=config_range(cfg, "gen.tokens"),
+        mentions=config_range(cfg, "gen.mentions"),
+        clusters=config_range(cfg, "gen.clusters"),
+        vocab_size=config_int(cfg, "gen.vocab_size"),
+        ambiguity=config_number(cfg, "gen.ambiguity"),
         train_accuracy=dict(g["train_accuracy"]),
         test_accuracy=dict(g["test_accuracy"]),
-        seed=int(cfg["seed"]),
+        seed=config_int(cfg, "seed"),
     )
 
 
-def dims_of(cfg):
-    return Dims.from_dict(cfg["dims"])
+def dims_of(cfg, key="dims"):
+    return Dims(**{name: config_int(cfg, f"{key}.{name}") for name in ("d", "l", "p", "w")})
 
 
 def train_config_of(cfg):
-    t = cfg["train"]
     return TrainConfig(
-        lower_lr=float(t["lower_lr"]),
-        upper_lr=float(t["upper_lr"]),
-        batch_size=int(t["batch_size"]),
-        epochs=int(t["epochs"]),
-        seed=int(cfg["seed"]),
-        noise=bool(t["noise"]),
+        lower_lr=config_number(cfg, "train.lower_lr"),
+        upper_lr=config_number(cfg, "train.upper_lr"),
+        batch_size=config_int(cfg, "train.batch_size"),
+        epochs=config_int(cfg, "train.epochs"),
+        seed=config_int(cfg, "seed"),
+        noise=config_flag(cfg, "train.noise"),
     )
 
 
@@ -275,16 +313,16 @@ def cmd_score(cfg, key_path, response_path):
 
 
 def cmd_gradcheck(cfg, corrupt=None):
-    gc = cfg["gradcheck"]
     schema = schema_of(cfg)
-    k = int(gc["features"])
+    k = config_int(cfg, "gradcheck.features")
     sub_schema = FeatureSchema(schema.features[:k])
     doc = gradcheck_instance(sub_schema, seed=int(cfg["seed"]))
     model = CorefModel(
-        sub_schema, build_vocab([doc]), cfg["mode"], Dims.from_dict(gc["dims"]), seed=int(cfg["seed"])
+        sub_schema, build_vocab([doc]), cfg["mode"], dims_of(cfg, "gradcheck.dims"), seed=int(cfg["seed"])
     )
     warm_to_loss(model, doc)
-    report = full_model_grad_check(model, doc, step=float(gc["step"]), tol=float(gc["tol"]), corrupt=corrupt)
+    report = full_model_grad_check(model, doc, step=config_number(cfg, "gradcheck.step"),
+                                   tol=config_number(cfg, "gradcheck.tol"), corrupt=corrupt)
     for name in sorted(report.errors):
         print(f"block {name} rel_err {report.errors[name]:.3e}")
     present = {p.name for p in model.parameters()}

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .autodiff import Parameter, affine, concat, matmul_const, relu, reshape, take_rows
+from .corpus import Document
 
 UNK = "<unk>"
 
@@ -53,34 +55,74 @@ def init_encoder(vocab, d, window, rng):
     return EncoderParams(vocab=vocab, embeddings=emb, mix_w=mix_w, mix_b=mix_b, window=window)
 
 
-def window_mean_matrix(n, w):
-    """Row i averages positions [i-w, i+w] clipped to the document."""
-    m = np.zeros((n, n))
-    for i in range(n):
-        lo, hi = max(0, i - w), min(n - 1, i + w)
-        m[i, lo : hi + 1] = 1.0 / (hi - lo + 1)
+def range_mean_matrix(lo, hi, n, packed=False):
+    """(len(lo), n) matrix whose row r averages columns lo[r] .. hi[r].
+
+    Built by index arithmetic: row r holds 1 / (hi[r] - lo[r] + 1) in each
+    of its columns.  Dense, or CSR when ``packed`` (rows of several
+    documents laid out back to back, so almost every entry is 0).
+    """
+    lo = np.asarray(lo, dtype=np.intp)
+    counts = np.asarray(hi, dtype=np.intp) - lo + 1
+    indptr = np.zeros(len(lo) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    cols = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
+    vals = np.repeat(1.0 / counts, counts)
+    if packed:
+        return sparse.csr_array((vals, cols, indptr), shape=(len(lo), n))
+    m = np.zeros((len(lo), n))
+    m[np.repeat(np.arange(len(lo)), counts), cols] = vals
     return m
 
 
-def encode_tokens(doc, enc, tape):
-    """Contextualized token representations X as an (n, d) node."""
-    ids = enc.token_ids(doc.tokens)
+def window_mean_matrix(lengths, w):
+    """Row i averages positions [i-w, i+w] clipped to its document.
+
+    ``lengths`` is one document's token count (a dense matrix), or the
+    token counts of documents packed back to back (a block-diagonal CSR
+    matrix, one block per document).
+    """
+    sizes = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
+    ends = np.cumsum(sizes)
+    pos = np.arange(sizes.sum())
+    lo = np.maximum(pos - w, np.repeat(ends - sizes, sizes))
+    hi = np.minimum(pos + w, np.repeat(ends - 1, sizes))
+    return range_mean_matrix(lo, hi, len(pos), packed=np.ndim(lengths) > 0)
+
+
+def encode_tokens(docs, enc, tape):
+    """Contextualized token representations X as an (n, d) node.
+
+    ``docs`` is one Document, or a list of documents packed back to back:
+    their tokens are stacked in order and no window crosses from one
+    document into the next.
+    """
+    if isinstance(docs, Document):
+        docs = [docs]
+    ids = np.concatenate([enc.token_ids(doc.tokens) for doc in docs])
+    lengths = len(ids) if len(docs) == 1 else [len(doc.tokens) for doc in docs]
     emb = take_rows(tape.watch(enc.embeddings), ids)
-    ctx = matmul_const(window_mean_matrix(len(ids), enc.window), emb)
+    ctx = matmul_const(window_mean_matrix(lengths, enc.window), emb)
     return relu(affine(tape.watch(enc.mix_w), tape.watch(enc.mix_b), concat([emb, ctx])))
 
 
-def span_average_matrix(mentions, n):
-    """(k, n) matrix whose rows average each mention's trigger span."""
-    a = np.zeros((len(mentions), n))
-    for m, mention in enumerate(mentions):
-        a[m, mention.start : mention.end + 1] = 1.0 / (mention.end - mention.start + 1)
-    return a
+def span_average_matrix(mentions, n, shifts=None):
+    """(k, n) matrix whose rows average each mention's trigger span.
+
+    ``shifts`` (one token offset per mention) places the spans of
+    documents packed back to back, and makes the matrix CSR.
+    """
+    lo = np.array([m.start for m in mentions], dtype=np.intp)
+    hi = np.array([m.end for m in mentions], dtype=np.intp)
+    if shifts is not None:
+        lo += shifts
+        hi += shifts
+    return range_mean_matrix(lo, hi, n, packed=shifts is not None)
 
 
-def trigger_reprs(x, mentions):
-    """All trigger vectors of a document, as a (k, d) node."""
-    return matmul_const(span_average_matrix(mentions, x.value.shape[0]), x)
+def trigger_reprs(x, mentions, shifts=None):
+    """All trigger vectors of a document, or of packed documents (see ``span_average_matrix``), as a (k, d) node."""
+    return matmul_const(span_average_matrix(mentions, x.value.shape[0], shifts), x)
 
 
 def trigger_repr(x, mention):

@@ -9,17 +9,19 @@ concatenates the raw h_ij; "baseline" mode uses t_ij alone.
 ``trigger_pair`` and ``feature_pair`` take a (rows, width) node and the
 row pairs to score, and run their FFNN's per-row terms once per row
 (``autodiff.pair_mlp``).  The other functions work on single vectors and
-on row-batched matrices alike, so ``score_document`` pushes all j < i
-pairs of a document through the model in one short tape.
+on row-batched matrices alike, so ``score_batch_node`` pushes all j < i
+pairs of one document, or of several packed back to back, through the
+model in one short tape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .autodiff import (Parameter, Tape, concat, full_pairs, gated_mix, mlp, pair_mlp, reshape, row_pairs,
-                       take_rows)
+                       stacked_row_pairs, take_rows)
 from .encoder import encode_tokens, feature_rows, trigger_reprs
 
 MODES = ("baseline", "simple", "cdgm")
@@ -210,26 +212,39 @@ def pair_indices(k):
     return pairs.i, pairs.j
 
 
-def score_document_node(doc, model, tape):
-    """Scores for all j < i pairs as one (P,) node on ``tape``.
+def score_batch_node(docs, model, tape):
+    """Scores for all j < i pairs of several documents, packed into one (P_total,) node on ``tape``.
+
+    Returns the node and the D + 1 pair offsets: document d's scores,
+    in ``row_pairs`` order, are node.value[offsets[d]:offsets[d + 1]].
+    The node is None when no document has two mentions.  The documents'
+    tokens and mentions are stacked, the encoder's window and span
+    matrices are block-diagonal, and their row pairs are stacked
+    (``stacked_row_pairs``), so one forward covers the batch and no
+    term crosses from one document into another.
 
     h_ij for feature u depends only on the value pair (f_i[u], f_j[u]).
-    When the document has more pairs than feature u has value pairs, its
+    When the batch has more pairs than feature u has value pairs, its
     FFNN runs once on the whole value-pair table and each pair gathers
-    its row by value code; otherwise it runs on the document's pairs.
+    its row by value code; otherwise it runs on the batch's pairs.
     """
-    k = len(doc.mentions)
-    if k < 2:
-        return None
-    pairs = row_pairs(k)
-    t_all = trigger_reprs(encode_tokens(doc, model.encoder, tape), doc.mentions)
+    ks = [len(doc.mentions) for doc in docs]
+    offsets = [0, *accumulate(k * (k - 1) // 2 for k in ks)]
+    if offsets[-1] == 0:
+        return None, offsets
+    pairs = stacked_row_pairs(ks)
+    mentions = [m for doc in docs for m in doc.mentions]
+    shifts = None
+    if len(docs) > 1:
+        shifts = np.repeat([0, *accumulate(len(doc.tokens) for doc in docs[:-1])], ks)
+    t_all = trigger_reprs(encode_tokens(docs, model.encoder, tape), mentions, shifts)
     t_ij = trigger_pair(t_all, pairs, model.pair)
 
     parts = []
     if model.pair.mode != "baseline":
         for u, emb in enumerate(model.embedders):
             n = emb.value.shape[0]
-            rows = feature_rows(doc.mentions, u, n)
+            rows = feature_rows(mentions, u, n)
             if len(pairs) > n * n:
                 table = feature_pair(tape.watch(emb), full_pairs(n), model.pair, u)
                 h_ij = take_rows(table, rows[pairs.i] * n + rows[pairs.j])
@@ -237,7 +252,12 @@ def score_document_node(doc, model, tape):
                 h_ij = feature_pair(take_rows(tape.watch(emb), rows), pairs, model.pair, u)
             parts.append(cdgm(t_ij, h_ij, model.pair, u) if model.pair.mode == "cdgm" else h_ij)
 
-    return score_pair([t_ij] + parts, model.pair)
+    return score_pair([t_ij] + parts, model.pair), offsets
+
+
+def score_document_node(doc, model, tape):
+    """Scores for all j < i pairs of one document as one (P,) node on ``tape``, or None below two mentions."""
+    return score_batch_node([doc], model, tape)[0]
 
 
 def score_document(doc, model):

@@ -17,7 +17,13 @@ from .autodiff import Tape, logsumexp_rows, precomputed
 from .corpus import Document, gold_clustering
 from .inference import predict_corpus
 from .metrics import corpus_report
-from .pair_model import pair_indices, score_document_node
+# score_document_node is not called here, but benchmarks/tracer.py wraps it under this module's name.
+from .pair_model import pair_indices, score_batch_node, score_document_node  # noqa: F401
+
+# Most mention pairs one packed training record holds.  Short documents
+# pack several to a record; a document with more pairs trains alone, so a
+# long document's record, and its memory, stay as they were.
+PAIR_BUDGET = 256
 
 # Per-feature resampling probabilities; zero for features whose
 # predictors stay reliable on held-out text, larger for the fragile ones.
@@ -116,20 +122,62 @@ def antecedent_nll(scores, gold_ids):
     return float(_antecedent_terms(scores.flat, gold_ids)[0])
 
 
-def antecedent_nll_node(scores_node, gold_ids, tape):
-    """Same loss as one recorded scalar node on ``tape``, for backpropagation."""
+def antecedent_nll_node(scores_node, golds, tape):
+    """The loss of packed documents as one recorded scalar node on ``tape``, for backpropagation.
+
+    ``golds`` holds each document's gold ids.  Document d's k_d (k_d - 1) / 2
+    scores follow document d-1's in ``scores_node``, as ``score_batch_node``
+    lays them out.  Returns the node, whose value is the documents' summed
+    loss, and the (D,) per-document losses.
+    """
     if scores_node.tape is not tape:
         raise ValueError("scores recorded on a different tape")
-    loss, grad = _antecedent_terms(scores_node.value, gold_ids)
-    return precomputed(scores_node, loss, grad)
+    flat = scores_node.value
+    sizes = [len(gold) * (len(gold) - 1) // 2 for gold in golds]
+    if sum(sizes) != flat.shape[0]:
+        raise ValueError(f"{flat.shape[0]} scores for documents holding {sum(sizes)} pairs")
+    losses, grads = np.zeros(len(golds)), []
+    start = 0
+    for d, (gold, size) in enumerate(zip(golds, sizes)):
+        losses[d], grad = _antecedent_terms(flat[start : start + size], gold)
+        grads.append(grad)
+        start += size
+    return precomputed(scores_node, losses.sum(), np.concatenate(grads)), losses
+
+
+def batch_loss_node(docs, model, tape):
+    """Scores and ranking loss of ``docs``, packed into one record (``score_batch_node``).
+
+    Returns the summed loss node and the (D,) per-document losses; the
+    node is None, and every loss 0, when no document has two mentions.
+    """
+    scores, _ = score_batch_node(docs, model, tape)
+    if scores is None:
+        return None, np.zeros(len(docs))
+    return antecedent_nll_node(scores, [[m.gold_cluster for m in doc.mentions] for doc in docs], tape)
 
 
 def document_loss_node(doc, model, tape):
     """Build the full scoring + ranking loss record for one document."""
-    scores = score_document_node(doc, model, tape)
-    if scores is None:
-        return None
-    return antecedent_nll_node(scores, [m.gold_cluster for m in doc.mentions], tape)
+    return batch_loss_node([doc], model, tape)[0]
+
+
+def pair_groups(docs, budget):
+    """Split ``docs``, in order, into runs of at most ``budget`` mention pairs.
+
+    A document with more pairs than the budget forms a run of its own.
+    """
+    groups, size = [], 0
+    for doc in docs:
+        k = len(doc.mentions)
+        pairs = k * (k - 1) // 2
+        if groups and size + pairs <= budget:
+            groups[-1].append(doc)
+            size += pairs
+        else:
+            groups.append([doc])
+            size = pairs
+    return groups
 
 
 class Adam:
@@ -219,24 +267,22 @@ def train(model, docs, config, noise=None, dev_docs=None):
         order = rng.permutation(len(docs))
         epoch_total = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = [docs[int(di)] for di in order[start : start + config.batch_size]]
+            if config.noise:
+                batch = [apply_noise(doc, noise, rng) for doc in batch]
             model.zero_grads()
-            for di in batch:
-                doc = docs[int(di)]
-                if config.noise:
-                    doc = apply_noise(doc, noise, rng)
+            for group in pair_groups(batch, PAIR_BUDGET):
                 tape = Tape()
-                loss = document_loss_node(doc, model, tape)
-                if loss is None:
-                    continue
-                value = float(loss.value)
-                if not np.isfinite(value):
-                    raise RuntimeError(
-                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}, "
-                        f"document {doc.doc_id!r}"
-                    )
-                epoch_total += value
-                tape.backward(loss)
+                loss, losses = batch_loss_node(group, model, tape)
+                for doc, value in zip(group, losses):
+                    if not np.isfinite(value):
+                        raise RuntimeError(
+                            f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}, "
+                            f"document {doc.doc_id!r}"
+                        )
+                    epoch_total += float(value)
+                if loss is not None:
+                    tape.backward(loss)
                 tape.release()
             opt.step()
         history.epoch_loss.append(epoch_total / len(docs))
@@ -269,19 +315,25 @@ def gradcheck_instance(schema, seed):
     return Document(doc_id="gradcheck", tokens=tokens, mentions=mentions)
 
 
-def full_model_grad_check(model, doc, step=1e-5, tol=1e-4, corrupt=None):
-    """Gradient check of the complete document loss, one block per Parameter."""
+def _as_docs(docs):
+    return [docs] if isinstance(docs, Document) else list(docs)
+
+
+def full_model_grad_check(model, docs, step=1e-5, tol=1e-4, corrupt=None):
+    """Gradient check of the complete loss of one document or a packed batch, one block per Parameter."""
     from .autodiff import grad_check
+
+    docs = _as_docs(docs)
 
     def closure():
         tape = Tape()
-        return tape, document_loss_node(doc, model, tape)
+        return tape, batch_loss_node(docs, model, tape)[0]
 
     return grad_check(closure, model.parameters(), step=step, tol=tol, corrupt=corrupt)
 
 
-def warm_to_loss(model, doc, target=1e-3, lr=5e-3, max_steps=500):
-    """Deterministically descend the single-document loss to ``target``.
+def warm_to_loss(model, docs, target=1e-3, lr=5e-3, max_steps=500):
+    """Deterministically descend the loss of one document or a packed batch to ``target``.
 
     The finite-difference check runs at this near-optimum: at a random
     init the loss sits at its log-counting scale, whose float64
@@ -290,11 +342,12 @@ def warm_to_loss(model, doc, target=1e-3, lr=5e-3, max_steps=500):
     correctness.  Near the optimum every magnitude involved is small and
     central differences resolve cleanly.
     """
+    docs = _as_docs(docs)
     opt = Adam(model.parameters(), {"lower": lr, "upper": lr})
     for _ in range(max_steps):
         model.zero_grads()
         tape = Tape()
-        loss = document_loss_node(doc, model, tape)
+        loss = batch_loss_node(docs, model, tape)[0]
         if float(loss.value) < target:
             tape.release()
             break

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from evcoref.autodiff import (
+    PROJECTION_EPS,
+    _split,
     NonDeterministicClosure,
     Parameter,
     ShapeMismatch,
@@ -451,6 +453,48 @@ class TestFusedNodes:
             pair_mlp(w1, b1, w2, b2, t.constant(np.ones((3, 4))), row_pairs(3))
         with pytest.raises(ShapeMismatch, match="pair_mlp"):
             pair_mlp(w1, b1, w2, b2, t.constant(np.ones((4, 3))), row_pairs(3))
+
+    @pytest.mark.parametrize("case", ["vector", "batch", "near-singular"])
+    def test_gated_mix_one_call_matches_two_call_backward(self, case):
+        """The one ``through`` call on g * (1 - 2 gate) against one call per projected part."""
+        rng = np.random.default_rng(35)
+        shape = (4,) if case == "vector" else (7, 4)
+        gv, tv, hv = rng.uniform(0.05, 0.95, size=shape), rng.normal(size=shape), rng.normal(size=shape)
+        if case == "near-singular":
+            tv[2] *= 1e-7  # 0 < ||t||^2 < PROJECTION_EPS: the row takes the singular branch
+            tv[5] = 0.0
+        g = rng.normal(size=shape)
+        par, orth, through = _split("ref", tv, hv, PROJECTION_EPS)
+        dh_orth, dt_orth = through(g * gv)
+        dh_par, dt_par = through(g * (1.0 - gv))
+        want = [g * orth - g * par, (g * gv - dh_orth) + dh_par, -dt_orth + dt_par]
+        params = [Parameter("g", gv), Parameter("t", tv), Parameter("h", hv)]
+
+        def fused(t):
+            gn, tn, hn = (t.watch(p) for p in params)
+            return gated_mix(gn, tn, hn)
+
+        value, (dg, dt, dh) = _value_and_grads(fused, params, g)
+        np.testing.assert_array_equal(value, gv * orth + (1.0 - gv) * par)
+        for got, ref in zip((dg, dh, dt), want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        if case == "near-singular":
+            np.testing.assert_array_equal(dt[[2, 5]], 0.0)
+            np.testing.assert_array_equal(dh[[2, 5]], (g * gv)[[2, 5]])
+
+    def test_gated_mix_grad_check(self):
+        rng = np.random.default_rng(36)
+        params = [Parameter("g", rng.uniform(0.1, 0.9, size=(5, 3))), Parameter("t", rng.normal(size=(5, 3))),
+                  Parameter("h", rng.normal(size=(5, 3)))]
+        v = rng.normal(size=(5, 3))
+
+        def closure():
+            t = Tape()
+            gn, tn, hn = (t.watch(p) for p in params)
+            return t, sum_all(mul(t.constant(v), gated_mix(gn, tn, hn)))
+
+        report = grad_check(closure, params, step=1e-6, tol=1e-6)
+        assert report.ok, report
 
     def test_gated_mix_shape_mismatch(self):
         t = Tape()

@@ -162,6 +162,31 @@ class TestConfigKeys:
         assert run(["gen", "--config", str(config)], str(tmp_path)) == 1
         assert "'train.lr'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, assignment, key, got", [
+        ("train", "train.batch_size=8.9", "train.batch_size", "must be an integer, got 8.9"),
+        ("train", "train.epochs=1.5", "train.epochs", "must be an integer, got 1.5"),
+        ("train", "train.epochs=2.0", "train.epochs", "must be an integer, got 2.0"),
+        ("train", "train.batch_size=true", "train.batch_size", "must be an integer, got true"),
+        ("train", "train.noise=no", "train.noise", 'must be true or false, got "no"'),
+        ("train", "train.noise=1", "train.noise", "must be true or false, got 1"),
+        ("train", 'train.lower_lr="fast"', "train.lower_lr", 'must be a number, got "fast"'),
+        ("train", "seed=1.5", "seed", "must be an integer, got 1.5"),
+        ("train", "dims.d=6.5", "dims.d", "must be an integer, got 6.5"),
+        ("gen", "gen.vocab_size=40.0", "gen.vocab_size", "must be an integer, got 40.0"),
+        ("gen", "gen.tokens=[15.5, 24]", "gen.tokens", "must be a list of two integers, got [15.5, 24]"),
+        ("gen", "gen.mentions=4", "gen.mentions", "must be a list of two integers, got 4"),
+        ("gradcheck", "gradcheck.dims.p=true", "gradcheck.dims.p", "must be an integer, got true"),
+    ])
+    def test_mistyped_value_rejected(self, tmp_path, capsys, command, assignment, key, got):
+        """Typed readers name the dotted key and never coerce: 8.9 is not read as 8, nor "no" as true."""
+        out = str(tmp_path)
+        if command == "train":
+            assert run(["gen"] + FAST, out) == 0
+            capsys.readouterr()
+        assert run([command] + FAST + ["--set", assignment], out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key {key!r} {got}\n"
+
     def test_feature_keyed_maps_stay_free_form(self, tmp_path):
         accuracy = {"Type": 0.9, "Aspect": 0.8}
         config = tmp_path / "cfg.json"

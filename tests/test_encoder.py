@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import block_diag
 
 from evcoref.autodiff import Tape, sum_all
 from evcoref.corpus import Document, FeatureSchema, Mention
@@ -11,6 +13,7 @@ from evcoref.encoder import (
     encode_tokens,
     init_encoder,
     init_feature_embedders,
+    span_average_matrix,
     trigger_repr,
     trigger_reprs,
     window_mean_matrix,
@@ -75,6 +78,69 @@ class TestEncodeTokens:
         x2 = encode_tokens(Document("d", far, []), enc, Tape()).value
         np.testing.assert_array_equal(x1[:6], x2[:6])
         assert np.abs(x1[6:] - x2[6:]).max() >= 0.0  # rows 6..7 may change
+
+
+def loop_window_mean(n, w):
+    """The window-mean matrix one row at a time."""
+    m = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = max(0, i - w), min(n - 1, i + w)
+        m[i, lo : hi + 1] = 1.0 / (hi - lo + 1)
+    return m
+
+
+def loop_span_average(mentions, n):
+    """The span-average matrix one mention at a time."""
+    a = np.zeros((len(mentions), n))
+    for r, m in enumerate(mentions):
+        a[r, m.start : m.end + 1] = 1.0 / (m.end - m.start + 1)
+    return a
+
+
+def random_spans(rng, n, k):
+    starts = rng.integers(0, n, size=k)
+    ends = np.minimum(starts + rng.integers(0, 4, size=k), n - 1)
+    return [Mention(int(s), int(e), (), None) for s, e in zip(starts, ends)]
+
+
+class TestAveragingMatrices:
+    """Index-arithmetic matrices against their row-by-row definitions."""
+
+    def test_window_mean_bit_identical_to_loop(self):
+        rng = np.random.default_rng(11)
+        for n, w in [(0, 2), (1, 0), (1, 3)] + [tuple(rng.integers(0, [70, 6])) for _ in range(60)]:
+            got = window_mean_matrix(int(n), int(w))
+            assert isinstance(got, np.ndarray)
+            np.testing.assert_array_equal(got, loop_window_mean(int(n), int(w)))
+
+    def test_packed_window_mean_is_block_diagonal(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            lengths = [int(n) for n in rng.integers(1, 40, size=rng.integers(1, 8))]
+            w = int(rng.integers(0, 5))
+            got = window_mean_matrix(lengths, w)
+            assert sparse.issparse(got) and got.format == "csr"
+            np.testing.assert_array_equal(got.toarray(), block_diag(*(loop_window_mean(n, w) for n in lengths)))
+
+    def test_span_average_bit_identical_to_loop(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n = int(rng.integers(1, 60))
+            mentions = random_spans(rng, n, int(rng.integers(0, 12)))
+            got = span_average_matrix(mentions, n)
+            assert isinstance(got, np.ndarray)
+            np.testing.assert_array_equal(got, loop_span_average(mentions, n))
+
+    def test_packed_span_average_is_block_diagonal(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            lengths = [int(n) for n in rng.integers(1, 40, size=rng.integers(1, 8))]
+            docs = [random_spans(rng, n, int(rng.integers(0, 6))) for n in lengths]
+            shifts = np.repeat(np.cumsum([0] + lengths[:-1]), [len(m) for m in docs])
+            got = span_average_matrix([m for ms in docs for m in ms], sum(lengths), shifts)
+            assert sparse.issparse(got) and got.format == "csr"
+            want = block_diag(*(loop_span_average(ms, n) for ms, n in zip(docs, lengths)))
+            np.testing.assert_array_equal(got.toarray(), want)
 
 
 class TestTriggerRepr:

@@ -1,10 +1,13 @@
 """Model persistence and the two-group parameter layout."""
 
+import re
+
 import numpy as np
 import pytest
 
 from evcoref.corpus import FeatureSchema, GenConfig, generate_corpus
 from evcoref.encoder import build_vocab
+from evcoref.inference import predict_corpus
 from evcoref.model import CorefModel, Dims, config_hash, schema_hash
 from evcoref.training import TrainConfig, evaluate_avg, train
 
@@ -113,5 +116,14 @@ class TestTrainingBehavior:
         docs = self.corpus(4, 3)
         model = CorefModel(SCHEMA, build_vocab(docs), "cdgm", Dims(d=6, l=3, p=4, w=1), seed=3)
         model.parameter("pair.a.w2").value[...] = np.nan
-        with pytest.raises(RuntimeError, match="epoch 0"):
+        # Every loss is NaN, so the first document of the first shuffled batch is named.
+        first = docs[int(np.random.default_rng(3).permutation(len(docs))[0])].doc_id
+        with pytest.raises(RuntimeError, match=re.escape(f"epoch 0, batch 0, document {first!r}")):
             train(model, docs, TrainConfig(epochs=1, seed=3))
+
+    def test_nan_parameter_makes_prediction_raise(self):
+        docs = self.corpus(3, 4)
+        model = CorefModel(SCHEMA, build_vocab(docs), "cdgm", Dims(d=6, l=3, p=4, w=1), seed=4)
+        model.parameter("encoder.mix.b").value[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite score"):
+            predict_corpus(model, docs)

@@ -171,7 +171,8 @@ class TestAntecedentNll:
             flat = rng.normal(scale=2.0, size=k * (k - 1) // 2)
             gold = [int(rng.integers(2)) for _ in range(k)]
             t = Tape()
-            node = antecedent_nll_node(t.constant(flat), gold, t)
+            node, losses = antecedent_nll_node(t.constant(flat), [gold], t)
+            assert losses.tolist() == [float(node.value)]
             assert float(node.value) == pytest.approx(
                 antecedent_nll(PairScores(k, flat), gold), rel=1e-12
             )
@@ -185,7 +186,7 @@ class TestAntecedentNll:
             t = Tape()
             scores = t.watch(flat)
             before = len(t._record)
-            loss = antecedent_nll_node(scores, gold, t)
+            loss, _ = antecedent_nll_node(scores, [gold], t)
             assert len(t._record) == before + 1
             t.backward(loss)
             step = 1e-6
@@ -246,8 +247,8 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(model, docs, TrainConfig(epochs=1, noise=True))
 
-    def test_tapes_freed_without_collector(self, monkeypatch):
-        """Each step's tape dies by reference count before the next is made."""
+    def tracked_tapes(self, monkeypatch, budget):
+        """Train 4 short documents in batches of 2; weak references to each tape made, and live tapes at each."""
         probes, alive_at_new = [], []
 
         class Tracked(Tape):
@@ -257,14 +258,27 @@ class TestTrain:
                 probes.append(weakref.ref(self))
 
         monkeypatch.setattr(training, "Tape", Tracked)
+        monkeypatch.setattr(training, "PAIR_BUDGET", budget)
         docs, model = self.small_setup(n_docs=4, seed=2)
         gc.disable()
         try:
             train(model, docs, TrainConfig(epochs=1, seed=2, batch_size=2))
-            assert len(probes) == 4 and all(probe() is None for probe in probes)
+            dead = all(probe() is None for probe in probes)
         finally:
             gc.enable()
+        return len(probes), dead, alive_at_new
+
+    def test_tapes_freed_without_collector(self, monkeypatch):
+        """Each packed batch's tape dies by reference count before the next is made."""
+        made, dead, alive_at_new = self.tracked_tapes(monkeypatch, training.PAIR_BUDGET)
+        assert made == 2 and dead
         # The previous step's tape is still bound to the loop's local name.
+        assert max(alive_at_new) <= 1
+
+    def test_tapes_over_budget_freed_without_collector(self, monkeypatch):
+        """With no document under the pair budget, each trains on its own tape, freed the same way."""
+        made, dead, alive_at_new = self.tracked_tapes(monkeypatch, 0)
+        assert made == 4 and dead
         assert max(alive_at_new) <= 1
 
 
