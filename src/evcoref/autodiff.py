@@ -480,6 +480,13 @@ def row_pairs(k):
     return RowPairs(i, j, k)
 
 
+def row_block(k, a, b):
+    """The pairs of rows a <= i < b of ``row_pairs(k)``: its contiguous slice [a(a-1)/2, b(b-1)/2)."""
+    pairs = row_pairs(k)
+    lo, hi = a * (a - 1) // 2, b * (b - 1) // 2
+    return RowPairs(pairs.i[lo:hi], pairs.j[lo:hi], k)
+
+
 @lru_cache(maxsize=64)
 def full_pairs(n):
     """All n * n ordered pairs (a, b) of n rows; pair (a, b) is row a * n + b."""

@@ -11,7 +11,8 @@ row pairs to score, and run their FFNN's per-row terms once per row
 (``autodiff.pair_mlp``).  The other functions work on single vectors and
 on row-batched matrices alike, so ``score_batch_node`` pushes all j < i
 pairs of one document, or of several packed back to back, through the
-model in one short tape.
+model in one short tape.  ``score_document`` runs a document with more
+than ``BLOCK_PAIRS`` pairs one block of antecedent rows at a time.
 """
 from __future__ import annotations
 
@@ -20,11 +21,18 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import (Parameter, Tape, concat, full_pairs, gated_mix, mlp, pair_mlp, reshape, row_pairs,
-                       stacked_row_pairs, take_rows)
+from .autodiff import (Parameter, Tape, concat, full_pairs, gated_mix, mlp, pair_mlp, reshape, row_block,
+                       row_pairs, stacked_row_pairs, take_rows)
 from .encoder import encode_tokens, feature_rows, trigger_reprs
 
 MODES = ("baseline", "simple", "cdgm")
+
+# Most mention pairs one row block scores or trains.  A document with
+# more pairs is scored (``score_document``) and trained
+# (``training.train``) one block of antecedent rows at a time, so pair
+# memory is bounded by the block rather than growing with k^2.  Above
+# ``training.PAIR_BUDGET``, so packed records never reach the blocks.
+BLOCK_PAIRS = 1024
 
 
 @dataclass
@@ -212,6 +220,51 @@ def pair_indices(k):
     return pairs.i, pairs.j
 
 
+def encode_triggers(docs, model, tape):
+    """The trigger rows of documents packed back to back, as one (sum k_d, d) node."""
+    mentions = [m for doc in docs for m in doc.mentions]
+    shifts = None
+    if len(docs) > 1:
+        shifts = np.repeat([0, *accumulate(len(doc.tokens) for doc in docs[:-1])],
+                           [len(doc.mentions) for doc in docs])
+    return trigger_reprs(encode_tokens(docs, model.encoder, tape), mentions, shifts)
+
+
+def feature_sources(mentions, model, tape, n_pairs):
+    """Where each feature's pair vectors come from, for a record of ``n_pairs`` pairs.
+
+    h_ij for feature u depends only on the value pair (f_i[u], f_j[u]).
+    When the record has more pairs than feature u has value pairs, its
+    FFNN runs once on the whole N_u x N_u value-pair table, given as
+    (table node, value rows, N_u); otherwise on the pairs themselves,
+    given as (embedding rows node, None, None).  Empty in baseline mode.
+    """
+    if model.pair.mode == "baseline":
+        return []
+    out = []
+    for u, emb in enumerate(model.embedders):
+        n = emb.value.shape[0]
+        rows = feature_rows(mentions, u, n)
+        if n_pairs > n * n:
+            out.append((feature_pair(tape.watch(emb), full_pairs(n), model.pair, u), rows, n))
+        else:
+            out.append((take_rows(tape.watch(emb), rows), None, None))
+    return out
+
+
+def score_pairs(t_all, sources, pairs, model):
+    """Scores of the row pairs ``pairs`` of the trigger rows ``t_all`` as one (len(pairs),) node."""
+    t_ij = trigger_pair(t_all, pairs, model.pair)
+    parts = []
+    for u, (x, rows, n) in enumerate(sources):
+        if rows is None:
+            h_ij = feature_pair(x, pairs, model.pair, u)
+        else:
+            h_ij = take_rows(x, rows[pairs.i] * n + rows[pairs.j])
+        parts.append(cdgm(t_ij, h_ij, model.pair, u) if model.pair.mode == "cdgm" else h_ij)
+    return score_pair([t_ij] + parts, model.pair)
+
+
 def score_batch_node(docs, model, tape):
     """Scores for all j < i pairs of several documents, packed into one (P_total,) node on ``tape``.
 
@@ -222,42 +275,49 @@ def score_batch_node(docs, model, tape):
     matrices are block-diagonal, and their row pairs are stacked
     (``stacked_row_pairs``), so one forward covers the batch and no
     term crosses from one document into another.
-
-    h_ij for feature u depends only on the value pair (f_i[u], f_j[u]).
-    When the batch has more pairs than feature u has value pairs, its
-    FFNN runs once on the whole value-pair table and each pair gathers
-    its row by value code; otherwise it runs on the batch's pairs.
     """
     ks = [len(doc.mentions) for doc in docs]
     offsets = [0, *accumulate(k * (k - 1) // 2 for k in ks)]
     if offsets[-1] == 0:
         return None, offsets
-    pairs = stacked_row_pairs(ks)
-    mentions = [m for doc in docs for m in doc.mentions]
-    shifts = None
-    if len(docs) > 1:
-        shifts = np.repeat([0, *accumulate(len(doc.tokens) for doc in docs[:-1])], ks)
-    t_all = trigger_reprs(encode_tokens(docs, model.encoder, tape), mentions, shifts)
-    t_ij = trigger_pair(t_all, pairs, model.pair)
+    t_all = encode_triggers(docs, model, tape)
+    sources = feature_sources([m for doc in docs for m in doc.mentions], model, tape, offsets[-1])
+    return score_pairs(t_all, sources, stacked_row_pairs(ks), model), offsets
 
-    parts = []
-    if model.pair.mode != "baseline":
-        for u, emb in enumerate(model.embedders):
-            n = emb.value.shape[0]
-            rows = feature_rows(mentions, u, n)
-            if len(pairs) > n * n:
-                table = feature_pair(tape.watch(emb), full_pairs(n), model.pair, u)
-                h_ij = take_rows(table, rows[pairs.i] * n + rows[pairs.j])
-            else:
-                h_ij = feature_pair(take_rows(tape.watch(emb), rows), pairs, model.pair, u)
-            parts.append(cdgm(t_ij, h_ij, model.pair, u) if model.pair.mode == "cdgm" else h_ij)
 
-    return score_pair([t_ij] + parts, model.pair), offsets
+def row_blocks(k):
+    """Consecutive antecedent rows [a, b) of a k-mention document, at most ``BLOCK_PAIRS`` pairs each.
+
+    Rows run from 1 (row 0 has no antecedent); a row with more pairs than
+    the bound is a block of its own.  Rows [a, b) hold the pairs
+    [a(a-1)/2, b(b-1)/2) of ``row_pairs(k)``.
+    """
+    starts = [1]
+    for i in range(2, k):
+        s = starts[-1]
+        if (i + 1) * i // 2 - s * (s - 1) // 2 > BLOCK_PAIRS:
+            starts.append(i)
+    return list(zip(starts, starts[1:] + [k])) if k > 1 else []
 
 
 def score_document_node(doc, model, tape):
-    """Scores for all j < i pairs of one document as one (P,) node on ``tape``, or None below two mentions."""
-    return score_batch_node([doc], model, tape)[0]
+    """Scores for all j < i pairs of one document as one (P,) node on ``tape``, or None below two mentions.
+
+    On a non-recording tape, a document with more than ``BLOCK_PAIRS``
+    pairs runs the encoder and feature sources once and the pair terms
+    one row block at a time, into one (P,) array, so memory is bounded
+    by a block.  Otherwise it is ``score_batch_node`` of one document.
+    """
+    k = len(doc.mentions)
+    n_pairs = k * (k - 1) // 2
+    if tape.recording or n_pairs <= BLOCK_PAIRS:
+        return score_batch_node([doc], model, tape)[0]
+    t_all = encode_triggers([doc], model, tape)
+    sources = feature_sources(doc.mentions, model, tape, n_pairs)
+    out = np.empty(n_pairs)
+    for a, b in row_blocks(k):
+        out[a * (a - 1) // 2 : b * (b - 1) // 2] = score_pairs(t_all, sources, row_block(k, a, b), model).value
+    return tape.constant(out)
 
 
 def score_document(doc, model):

@@ -13,16 +13,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tape, logsumexp_rows, precomputed
+from . import pair_model
+from .autodiff import Parameter, Tape, logsumexp_rows, precomputed, row_block
 from .corpus import Document, gold_clustering
 from .inference import predict_corpus
 from .metrics import corpus_report
 # score_document_node is not called here, but benchmarks/tracer.py wraps it under this module's name.
-from .pair_model import pair_indices, score_batch_node, score_document_node  # noqa: F401
+from .pair_model import (encode_triggers, feature_sources, row_blocks, score_batch_node,  # noqa: F401
+                         score_document_node, score_pairs)
 
 # Most mention pairs one packed training record holds.  Short documents
-# pack several to a record; a document with more pairs trains alone, so a
-# long document's record, and its memory, stay as they were.
+# pack several to a record; a document with more pairs trains alone, and
+# one with more than ``pair_model.BLOCK_PAIRS`` trains in row blocks.
 PAIR_BUDGET = 256
 
 # Per-feature resampling probabilities; zero for features whose
@@ -81,31 +83,41 @@ def gold_antecedents(i, gold_ids):
     return out
 
 
-def _antecedent_terms(flat, gold_ids):
-    """The loss over all mentions and its gradient w.r.t. the flat pair scores.
-
-    Row i-1 of a (k-1, k) candidate matrix holds mention i's scores
-    against every j < i, -inf padding, and the dummy antecedent pinned at
-    0 in the last column.  The gold mask marks the coreferent j < i, or
-    the dummy when there are none.  Both log-sums of a row share one
-    detached max shift, so their difference never routes through a large
-    intermediate value.  The gradient of each row is p_all - p_gold.
-    """
+def _checked(gold_ids):
+    """``gold_ids`` as a list, once every mention is known to have a gold cluster."""
     gold_ids = list(gold_ids)
-    k = len(gold_ids)
-    if k < 2:
-        return 0.0, np.zeros(0)
     if None in gold_ids:
         raise ValueError(f"mention {gold_ids.index(None)} has no gold cluster")
+    return gold_ids
+
+
+def _antecedent_terms(flat, gold_ids, rows=None):
+    """The loss over mentions a <= i < b and its gradient w.r.t. their flat pair scores.
+
+    ``rows`` is (a, b), or None for the whole document; ``gold_ids`` are
+    always the whole document's, and all are checked.  Row i-a of a
+    (b-a, b) candidate matrix holds mention i's scores against every
+    j < i, -inf padding, and the dummy antecedent pinned at 0 in the last
+    column.  The gold mask marks the coreferent j < i, or the dummy when
+    there are none.  Both log-sums of a row share one detached max shift,
+    so their difference never routes through a large intermediate value.
+    The gradient of each row is p_all - p_gold.
+    """
+    gold_ids = _checked(gold_ids)
+    k = len(gold_ids)
+    a, b = (1, k) if rows is None else (max(rows[0], 1), rows[1])
+    if b <= a:
+        return 0.0, np.zeros(0)
     index = {}
     codes = np.array([index.setdefault(g, len(index)) for g in gold_ids])
-    i_vec, j_vec = pair_indices(k)
-    rows = i_vec - 1
-    cand = np.full((k - 1, k), -np.inf)
+    pairs = row_block(k, a, b)
+    i_vec, j_vec = pairs.i, pairs.j
+    rows = i_vec - a
+    cand = np.full((b - a, b), -np.inf)
     cand[rows, j_vec] = flat
     cand[:, -1] = 0.0
     x = cand - cand.max(axis=1, keepdims=True)
-    gold = np.zeros((k - 1, k), dtype=bool)
+    gold = np.zeros((b - a, b), dtype=bool)
     gold[rows, j_vec] = codes[i_vec] == codes[j_vec]
     gold[:, -1] = ~gold.any(axis=1)
     lse_all, p_all = logsumexp_rows(x)
@@ -122,24 +134,30 @@ def antecedent_nll(scores, gold_ids):
     return float(_antecedent_terms(scores.flat, gold_ids)[0])
 
 
-def antecedent_nll_node(scores_node, golds, tape):
+def antecedent_nll_node(scores_node, golds, tape, rows=None):
     """The loss of packed documents as one recorded scalar node on ``tape``, for backpropagation.
 
     ``golds`` holds each document's gold ids.  Document d's k_d (k_d - 1) / 2
     scores follow document d-1's in ``scores_node``, as ``score_batch_node``
-    lays them out.  Returns the node, whose value is the documents' summed
-    loss, and the (D,) per-document losses.
+    lays them out.  With ``rows`` = (a, b), ``golds`` holds one document
+    and the scores and loss cover its rows a <= i < b only (one of
+    ``row_blocks``).  Returns the node, whose value is the documents'
+    summed loss, and the (D,) per-document losses.
     """
     if scores_node.tape is not tape:
         raise ValueError("scores recorded on a different tape")
+    if rows is not None and len(golds) != 1:
+        raise ValueError(f"a row block covers one document, got {len(golds)}")
     flat = scores_node.value
     sizes = [len(gold) * (len(gold) - 1) // 2 for gold in golds]
+    if rows is not None:
+        sizes = [rows[1] * (rows[1] - 1) // 2 - rows[0] * (rows[0] - 1) // 2]
     if sum(sizes) != flat.shape[0]:
         raise ValueError(f"{flat.shape[0]} scores for documents holding {sum(sizes)} pairs")
     losses, grads = np.zeros(len(golds)), []
     start = 0
     for d, (gold, size) in enumerate(zip(golds, sizes)):
-        losses[d], grad = _antecedent_terms(flat[start : start + size], gold)
+        losses[d], grad = _antecedent_terms(flat[start : start + size], gold, rows)
         grads.append(grad)
         start += size
     return precomputed(scores_node, losses.sum(), np.concatenate(grads)), losses
@@ -151,15 +169,69 @@ def batch_loss_node(docs, model, tape):
     Returns the summed loss node and the (D,) per-document losses; the
     node is None, and every loss 0, when no document has two mentions.
     """
+    golds = [_checked(m.gold_cluster for m in doc.mentions) for doc in docs]
     scores, _ = score_batch_node(docs, model, tape)
     if scores is None:
         return None, np.zeros(len(docs))
-    return antecedent_nll_node(scores, [[m.gold_cluster for m in doc.mentions] for doc in docs], tape)
+    return antecedent_nll_node(scores, golds, tape)
 
 
 def document_loss_node(doc, model, tape):
     """Build the full scoring + ranking loss record for one document."""
     return batch_loss_node([doc], model, tape)[0]
+
+
+def _block_loss(doc, golds, model, t_leaf, rows):
+    """Loss of the row block ``rows`` of ``doc``, backpropagated on a tape that dies on return."""
+    k = len(golds)
+    tape = Tape()
+    sources = feature_sources(doc.mentions, model, tape, k * (k - 1) // 2)
+    scores = score_pairs(tape.watch(t_leaf), sources, row_block(k, *rows), model)
+    loss, losses = antecedent_nll_node(scores, [golds], tape, rows)
+    tape.backward(loss)
+    tape.release()
+    return losses[0]
+
+
+def train_blocks(doc, model):
+    """Loss of one document, adding its gradient to the parameters' grads one row block at a time.
+
+    The encoder runs once, on its own tape.  Each block of antecedent
+    rows (``row_blocks``) gets a tape of its own, on which the trigger
+    rows are a leaf whose gradient adds up across blocks; its scores and
+    loss cover its rows only, and its tape is freed before the next
+    block starts.  After the last block, the trigger rows' gradient runs
+    back through the encoder tape in one ``precomputed`` node.  Loss and
+    gradients are those of ``document_loss_node`` up to summation order,
+    while memory holds one block's pair terms rather than all k^2.
+    """
+    golds = _checked(m.gold_cluster for m in doc.mentions)
+    tape = Tape()
+    t_all = encode_triggers([doc], model, tape)
+    t_leaf = Parameter("trigger_rows", t_all.value)
+    loss = sum(_block_loss(doc, golds, model, t_leaf, rows) for rows in row_blocks(len(golds)))
+    tape.backward(precomputed(t_all, loss, t_leaf.grad))
+    tape.release()
+    return loss
+
+
+def record_losses(group, model):
+    """Per-document losses of one training record, its gradient added to the parameters' grads.
+
+    A record of one document with more than ``pair_model.BLOCK_PAIRS``
+    pairs trains in row blocks (``train_blocks``); any other record is one
+    packed tape (``batch_loss_node``), backpropagated only when every
+    loss is finite.
+    """
+    k = len(group[0].mentions)
+    if len(group) == 1 and k * (k - 1) // 2 > pair_model.BLOCK_PAIRS:
+        return [train_blocks(group[0], model)]
+    tape = Tape()
+    loss, losses = batch_loss_node(group, model, tape)
+    if loss is not None and np.isfinite(losses).all():
+        tape.backward(loss)
+    tape.release()
+    return losses
 
 
 def pair_groups(docs, budget):
@@ -272,18 +344,13 @@ def train(model, docs, config, noise=None, dev_docs=None):
                 batch = [apply_noise(doc, noise, rng) for doc in batch]
             model.zero_grads()
             for group in pair_groups(batch, PAIR_BUDGET):
-                tape = Tape()
-                loss, losses = batch_loss_node(group, model, tape)
-                for doc, value in zip(group, losses):
+                for doc, value in zip(group, record_losses(group, model)):
                     if not np.isfinite(value):
                         raise RuntimeError(
                             f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}, "
                             f"document {doc.doc_id!r}"
                         )
                     epoch_total += float(value)
-                if loss is not None:
-                    tape.backward(loss)
-                tape.release()
             opt.step()
         history.epoch_loss.append(epoch_total / len(docs))
         if dev_docs is not None:
