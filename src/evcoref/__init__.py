@@ -52,7 +52,6 @@ from .training import (
     TrainHistory,
     antecedent_nll,
     apply_noise,
-    gold_antecedents,
     train,
 )
 

@@ -171,18 +171,17 @@ def schema_of(cfg):
     return FeatureSchema.from_dict(spec)
 
 
-def _lookup(cfg, dotted):
+def _typed(cfg, path, what, ok):
+    """The value at ``path``, or a ValueError naming the key when ``ok(value)`` fails; nothing is coerced.
+
+    ``path`` is a dotted key, or the tuple of its parts when a part (a feature name) may hold a dot.
+    """
+    parts = path.split(".") if isinstance(path, str) else path
     value = cfg
-    for part in dotted.split("."):
+    for part in parts:
         value = value[part]
-    return value
-
-
-def _typed(cfg, dotted, what, ok):
-    """The value at ``dotted``, or a ValueError naming the key when ``ok(value)`` fails; nothing is coerced."""
-    value = _lookup(cfg, dotted)
     if not ok(value):
-        raise ValueError(f"config key {dotted!r} must be {what}, got {json.dumps(value)}")
+        raise ValueError(f"config key {'.'.join(map(str, parts))!r} must be {what}, got {json.dumps(value)}")
     return value
 
 
@@ -210,8 +209,19 @@ def config_range(cfg, dotted):
     return tuple(_typed(cfg, dotted, "a list of two integers", _is_range))
 
 
+def config_list(cfg, dotted, read):
+    """The list at ``dotted``, each item read by ``read`` under its index, e.g. ``experiment.seeds.0``."""
+    items = _typed(cfg, dotted, "a list", lambda v: isinstance(v, list))
+    return tuple(read(cfg, (*dotted.split("."), n)) for n in range(len(items)))
+
+
+def config_map(cfg, dotted, read):
+    """The map at ``dotted``, each value read by ``read`` under its own key, e.g. ``gen.docs.train``."""
+    items = _typed(cfg, dotted, "an object", lambda v: isinstance(v, dict))
+    return {key: read(cfg, (*dotted.split("."), key)) for key in items}
+
+
 def gen_config_of(cfg, n_docs=0):
-    g = cfg["gen"]
     return GenConfig(
         n_docs=n_docs,
         tokens=config_range(cfg, "gen.tokens"),
@@ -219,8 +229,8 @@ def gen_config_of(cfg, n_docs=0):
         clusters=config_range(cfg, "gen.clusters"),
         vocab_size=config_int(cfg, "gen.vocab_size"),
         ambiguity=config_number(cfg, "gen.ambiguity"),
-        train_accuracy=dict(g["train_accuracy"]),
-        test_accuracy=dict(g["test_accuracy"]),
+        train_accuracy=config_map(cfg, "gen.train_accuracy", config_number),
+        test_accuracy=config_map(cfg, "gen.test_accuracy", config_number),
         seed=config_int(cfg, "seed"),
     )
 
@@ -249,8 +259,8 @@ def write_json(obj, path):
 def cmd_gen(cfg):
     schema = schema_of(cfg)
     gen = gen_config_of(cfg)
-    counts = {split: int(n) for split, n in cfg["gen"]["docs"].items()}
-    corpora = make_corpora(gen, schema, counts, int(cfg["seed"]))
+    counts = config_map(cfg, "gen.docs", config_int)
+    corpora = make_corpora(gen, schema, counts, gen.seed)
     for split, (true_docs, observed) in corpora.items():
         save_corpus(observed, schema, resolve(cfg, split))
         save_corpus(true_docs, schema, resolve(cfg, f"{split}_true"))
@@ -271,11 +281,11 @@ def cmd_train(cfg):
     dev_docs = load_corpus(resolve(cfg, "dev"), schema)
     vocab = build_vocab(train_docs + dev_docs)
     model = CorefModel(
-        schema, vocab, cfg["mode"], dims_of(cfg), seed=int(cfg["seed"]),
+        schema, vocab, cfg["mode"], dims_of(cfg), seed=config_int(cfg, "seed"),
         extra_meta={"config_hash": hash_config(cfg)},
     )
     tcfg = train_config_of(cfg)
-    noise = NoiseConfig.for_schema(schema, cfg["noise"]) if tcfg.noise else None
+    noise = NoiseConfig.for_schema(schema, config_map(cfg, "noise", config_number)) if tcfg.noise else None
     history = train(model, train_docs, tcfg, noise=noise, dev_docs=dev_docs)
     model.save(resolve(cfg, "model"))
     write_json({"config_hash": hash_config(cfg), **history.to_dict()}, resolve(cfg, "history"))
@@ -316,10 +326,9 @@ def cmd_gradcheck(cfg, corrupt=None):
     schema = schema_of(cfg)
     k = config_int(cfg, "gradcheck.features")
     sub_schema = FeatureSchema(schema.features[:k])
-    doc = gradcheck_instance(sub_schema, seed=int(cfg["seed"]))
-    model = CorefModel(
-        sub_schema, build_vocab([doc]), cfg["mode"], dims_of(cfg, "gradcheck.dims"), seed=int(cfg["seed"])
-    )
+    seed = config_int(cfg, "seed")
+    doc = gradcheck_instance(sub_schema, seed=seed)
+    model = CorefModel(sub_schema, build_vocab([doc]), cfg["mode"], dims_of(cfg, "gradcheck.dims"), seed=seed)
     warm_to_loss(model, doc)
     report = full_model_grad_check(model, doc, step=config_number(cfg, "gradcheck.step"),
                                    tol=config_number(cfg, "gradcheck.tol"), corrupt=corrupt)
@@ -342,10 +351,10 @@ def cmd_experiment(cfg):
         gen=gen_config_of(cfg),
         dims=dims_of(cfg),
         train=train_config_of(cfg),
-        noise_table=dict(cfg["noise"]),
+        noise_table=config_map(cfg, "noise", config_number),
         variants=tuple(exp["variants"]),
-        seeds=tuple(int(s) for s in exp["seeds"]),
-        doc_counts={split: int(n) for split, n in cfg["gen"]["docs"].items()},
+        seeds=config_list(cfg, "experiment.seeds", config_int),
+        doc_counts=config_map(cfg, "gen.docs", config_int),
     )
     result = run_experiment(spec)
     result["config_hash"] = hash_config(cfg)

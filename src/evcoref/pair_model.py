@@ -9,10 +9,10 @@ concatenates the raw h_ij; "baseline" mode uses t_ij alone.
 ``trigger_pair`` and ``feature_pair`` take a (rows, width) node and the
 row pairs to score, and run their FFNN's per-row terms once per row
 (``autodiff.pair_mlp``).  The other functions work on single vectors and
-on row-batched matrices alike, so ``score_batch_node`` pushes all j < i
-pairs of one document, or of several packed back to back, through the
-model in one short tape.  ``score_document`` runs a document with more
-than ``BLOCK_PAIRS`` pairs one block of antecedent rows at a time.
+on row-batched matrices alike, so ``score_pairs`` pushes any row pairs
+through the model at once.  Scoring and training run a record in the
+blocks of ``record_blocks``: the whole record when it fits
+``BLOCK_PAIRS``, else one block of antecedent rows at a time.
 """
 from __future__ import annotations
 
@@ -22,16 +22,14 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import (Parameter, Tape, concat, full_pairs, gated_mix, mlp, pair_mlp, reshape, row_block,
-                       row_pairs, stacked_row_pairs, take_rows)
+                       stacked_row_pairs, take_rows)
 from .encoder import encode_tokens, feature_rows, trigger_reprs
 
 MODES = ("baseline", "simple", "cdgm")
 
-# Most mention pairs one row block scores or trains.  A document with
-# more pairs is scored (``score_document``) and trained
-# (``training.train``) one block of antecedent rows at a time, so pair
-# memory is bounded by the block rather than growing with k^2.  Above
-# ``training.PAIR_BUDGET``, so packed records never reach the blocks.
+# Most mention pairs one block scores or trains (``record_blocks``), so
+# pair memory is bounded by a block rather than growing with k^2.  Above
+# ``training.PAIR_BUDGET``, so a packed training record is one block.
 BLOCK_PAIRS = 1024
 
 
@@ -162,8 +160,8 @@ def cdgm(t_ij, h_ij, pm, u):
 def assemble_pair(t_ij, parts, mode):
     """Final pair representation f_ij for the given mode, as one node.
 
-    ``score_document_node`` hands the blocks [t_ij, *parts] to
-    ``score_pair`` instead, so the (P, (K+1)p) copy is never built.
+    ``score_pairs`` hands the blocks [t_ij, *parts] to ``score_pair``
+    instead, so the (P, (K+1)p) copy is never built.
     """
     if mode == "baseline":
         if parts:
@@ -206,18 +204,6 @@ class PairScores:
         """Scores against all antecedent candidates of mention i."""
         base = i * (i - 1) // 2
         return self.flat[base : base + i]
-
-    def matrix(self):
-        m = np.zeros((self.k, self.k))
-        for i in range(1, self.k):
-            m[i, :i] = self.row(i)
-        return m
-
-
-def pair_indices(k):
-    """Row indices (i_vec, j_vec) for all pairs j < i, in score order (read-only arrays)."""
-    pairs = row_pairs(k)
-    return pairs.i, pairs.j
 
 
 def encode_triggers(docs, model, tape):
@@ -274,7 +260,8 @@ def score_batch_node(docs, model, tape):
     tokens and mentions are stacked, the encoder's window and span
     matrices are block-diagonal, and their row pairs are stacked
     (``stacked_row_pairs``), so one forward covers the batch and no
-    term crosses from one document into another.
+    term crosses from one document into another.  The one-tape
+    reference for the blocks of ``record_blocks``.
     """
     ks = [len(doc.mentions) for doc in docs]
     offsets = [0, *accumulate(k * (k - 1) // 2 for k in ks)]
@@ -300,24 +287,37 @@ def row_blocks(k):
     return list(zip(starts, starts[1:] + [k])) if k > 1 else []
 
 
+def record_blocks(ks):
+    """Yield the (pairs, rows) blocks that score and train a record of documents with ``ks`` mentions.
+
+    A record within ``BLOCK_PAIRS`` is one block of all its stacked pairs,
+    rows None; a longer one holds one document, cut at ``row_blocks``.
+    Each block's row pairs are made as it is reached, so their scatter
+    matrices die with the block.
+    """
+    if sum(k * (k - 1) // 2 for k in ks) <= BLOCK_PAIRS:
+        yield stacked_row_pairs(ks), None
+        return
+    if len(ks) != 1:
+        raise ValueError(f"a record over {BLOCK_PAIRS} pairs holds one document, got {len(ks)}")
+    for a, b in row_blocks(ks[0]):
+        yield row_block(ks[0], a, b), (a, b)
+
+
 def score_document_node(doc, model, tape):
     """Scores for all j < i pairs of one document as one (P,) node on ``tape``, or None below two mentions.
 
-    On a non-recording tape, a document with more than ``BLOCK_PAIRS``
-    pairs runs the encoder and feature sources once and the pair terms
-    one row block at a time, into one (P,) array, so memory is bounded
-    by a block.  Otherwise it is ``score_batch_node`` of one document.
+    The encoder and feature sources run once, the pair terms once per
+    block (``record_blocks``).  On a non-recording tape a block keeps
+    only its scores, so memory is bounded by a block.
     """
     k = len(doc.mentions)
     n_pairs = k * (k - 1) // 2
-    if tape.recording or n_pairs <= BLOCK_PAIRS:
-        return score_batch_node([doc], model, tape)[0]
+    if n_pairs == 0:
+        return None
     t_all = encode_triggers([doc], model, tape)
     sources = feature_sources(doc.mentions, model, tape, n_pairs)
-    out = np.empty(n_pairs)
-    for a, b in row_blocks(k):
-        out[a * (a - 1) // 2 : b * (b - 1) // 2] = score_pairs(t_all, sources, row_block(k, a, b), model).value
-    return tape.constant(out)
+    return concat([score_pairs(t_all, sources, pairs, model) for pairs, _ in record_blocks([k])])
 
 
 def score_document(doc, model):

@@ -18,13 +18,15 @@ from .autodiff import Parameter, Tape, logsumexp_rows, precomputed, row_block
 from .corpus import Document, gold_clustering
 from .inference import predict_corpus
 from .metrics import corpus_report
-# score_document_node is not called here, but benchmarks/tracer.py wraps it under this module's name.
-from .pair_model import (encode_triggers, feature_sources, row_blocks, score_batch_node,  # noqa: F401
+# Training scores through ``record_blocks`` and never calls score_document_node, but
+# benchmarks/tracer.py wraps it under this module's name too.
+from .pair_model import (encode_triggers, feature_sources, record_blocks, score_batch_node,  # noqa: F401
                          score_document_node, score_pairs)
 
 # Most mention pairs one packed training record holds.  Short documents
-# pack several to a record; a document with more pairs trains alone, and
-# one with more than ``pair_model.BLOCK_PAIRS`` trains in row blocks.
+# pack several to a record; a document with more pairs trains alone.
+# Below ``pair_model.BLOCK_PAIRS``, so a packed record is one block and
+# only a long document trains in several.
 PAIR_BUDGET = 256
 
 # Per-feature resampling probabilities; zero for features whose
@@ -68,19 +70,6 @@ def apply_noise(doc, noise, rng):
                 values[u] = 1 + int(rng.integers(noise.cardinalities[u]))
         mentions.append(replace(m, features=tuple(values)))
     return Document(doc_id=doc.doc_id, tokens=doc.tokens, mentions=mentions)
-
-
-def gold_antecedents(i, gold_ids):
-    """Indices of coreferent predecessors of mention i; empty means dummy."""
-    if gold_ids[i] is None:
-        raise ValueError(f"mention {i} has no gold cluster")
-    out = []
-    for j in range(i):
-        if gold_ids[j] is None:
-            raise ValueError(f"mention {j} has no gold cluster")
-        if gold_ids[j] == gold_ids[i]:
-            out.append(j)
-    return out
 
 
 def _checked(gold_ids):
@@ -168,6 +157,7 @@ def batch_loss_node(docs, model, tape):
 
     Returns the summed loss node and the (D,) per-document losses; the
     node is None, and every loss 0, when no document has two mentions.
+    The one-tape reference for ``record_losses``.
     """
     golds = [_checked(m.gold_cluster for m in doc.mentions) for doc in docs]
     scores, _ = score_batch_node(docs, model, tape)
@@ -181,55 +171,46 @@ def document_loss_node(doc, model, tape):
     return batch_loss_node([doc], model, tape)[0]
 
 
-def _block_loss(doc, golds, model, t_leaf, rows):
-    """Loss of the row block ``rows`` of ``doc``, backpropagated on a tape that dies on return."""
-    k = len(golds)
+def _block_losses(mentions, golds, model, t_leaf, n_pairs, pairs, rows):
+    """Per-document losses of one block of a record, backpropagated on a tape that dies on return."""
     tape = Tape()
-    sources = feature_sources(doc.mentions, model, tape, k * (k - 1) // 2)
-    scores = score_pairs(tape.watch(t_leaf), sources, row_block(k, *rows), model)
-    loss, losses = antecedent_nll_node(scores, [golds], tape, rows)
-    tape.backward(loss)
+    sources = feature_sources(mentions, model, tape, n_pairs)
+    scores = score_pairs(tape.watch(t_leaf), sources, pairs, model)
+    loss, losses = antecedent_nll_node(scores, golds, tape, rows)
+    if np.isfinite(losses).all():
+        tape.backward(loss)
     tape.release()
-    return losses[0]
-
-
-def train_blocks(doc, model):
-    """Loss of one document, adding its gradient to the parameters' grads one row block at a time.
-
-    The encoder runs once, on its own tape.  Each block of antecedent
-    rows (``row_blocks``) gets a tape of its own, on which the trigger
-    rows are a leaf whose gradient adds up across blocks; its scores and
-    loss cover its rows only, and its tape is freed before the next
-    block starts.  After the last block, the trigger rows' gradient runs
-    back through the encoder tape in one ``precomputed`` node.  Loss and
-    gradients are those of ``document_loss_node`` up to summation order,
-    while memory holds one block's pair terms rather than all k^2.
-    """
-    golds = _checked(m.gold_cluster for m in doc.mentions)
-    tape = Tape()
-    t_all = encode_triggers([doc], model, tape)
-    t_leaf = Parameter("trigger_rows", t_all.value)
-    loss = sum(_block_loss(doc, golds, model, t_leaf, rows) for rows in row_blocks(len(golds)))
-    tape.backward(precomputed(t_all, loss, t_leaf.grad))
-    tape.release()
-    return loss
+    return losses
 
 
 def record_losses(group, model):
     """Per-document losses of one training record, its gradient added to the parameters' grads.
 
-    A record of one document with more than ``pair_model.BLOCK_PAIRS``
-    pairs trains in row blocks (``train_blocks``); any other record is one
-    packed tape (``batch_loss_node``), backpropagated only when every
-    loss is finite.
+    The encoder runs once, on its own tape.  Each block of the record
+    (``record_blocks``) gets a tape of its own, on which the trigger rows
+    are a leaf whose gradient adds up across blocks; its scores and loss
+    cover its pairs only, and its tape is freed before the next block
+    starts.  After the last block, the trigger rows' gradient runs back
+    through the encoder tape in one ``precomputed`` node.  A record of one
+    block has the losses and gradients of ``batch_loss_node`` bit for bit;
+    a document of several, those of ``document_loss_node`` up to
+    summation order, while memory holds one block's pair terms.  Only
+    finite losses are backpropagated.
     """
-    k = len(group[0].mentions)
-    if len(group) == 1 and k * (k - 1) // 2 > pair_model.BLOCK_PAIRS:
-        return [train_blocks(group[0], model)]
+    golds = [_checked(m.gold_cluster for m in doc.mentions) for doc in group]
+    ks = [len(gold) for gold in golds]
+    n_pairs = sum(k * (k - 1) // 2 for k in ks)
+    losses = np.zeros(len(group))
+    if n_pairs == 0:
+        return losses
+    mentions = [m for doc in group for m in doc.mentions]
     tape = Tape()
-    loss, losses = batch_loss_node(group, model, tape)
-    if loss is not None and np.isfinite(losses).all():
-        tape.backward(loss)
+    t_all = encode_triggers(group, model, tape)
+    t_leaf = Parameter("trigger_rows", t_all.value)
+    for pairs, rows in record_blocks(ks):
+        losses += _block_losses(mentions, golds, model, t_leaf, n_pairs, pairs, rows)
+    if np.isfinite(losses).all():
+        tape.backward(precomputed(t_all, losses.sum(), t_leaf.grad))
     tape.release()
     return losses
 
@@ -343,7 +324,7 @@ def train(model, docs, config, noise=None, dev_docs=None):
             if config.noise:
                 batch = [apply_noise(doc, noise, rng) for doc in batch]
             model.zero_grads()
-            for group in pair_groups(batch, PAIR_BUDGET):
+            for group in pair_groups(batch, min(PAIR_BUDGET, pair_model.BLOCK_PAIRS)):
                 for doc, value in zip(group, record_losses(group, model)):
                     if not np.isfinite(value):
                         raise RuntimeError(

@@ -18,8 +18,9 @@ from evcoref.corpus import Document, FeatureSchema, GenConfig, Mention, generate
 from evcoref.encoder import build_vocab
 from evcoref.inference import clusters_from_links, decode_antecedents
 from evcoref.model import CorefModel, Dims
-from evcoref.pair_model import MODES, row_blocks, score_batch_node, score_document
-from evcoref.training import TrainConfig, antecedent_nll, document_loss_node, record_losses, train, train_blocks, warm_to_loss
+from evcoref.pair_model import MODES, record_blocks, row_blocks, score_batch_node, score_document
+from evcoref.training import (TrainConfig, antecedent_nll, batch_loss_node, document_loss_node, record_losses, train,
+                              warm_to_loss)
 
 from test_packing import DIMS, SCHEMA, VOCAB, assert_close, grads_of, random_doc
 
@@ -96,8 +97,39 @@ def test_blocks_match_the_whole_document(monkeypatch, k, pairs, mode, singular):
         assert_close(g, grads[name])
 
 
+def test_a_record_over_the_bound_holds_one_document():
+    assert len(list(record_blocks([40, 10]))) == 1  # 825 pairs
+    with pytest.raises(ValueError, match="holds one document, got 2"):
+        list(record_blocks([40, 30]))  # 1 215 pairs
+
+
+@pytest.mark.parametrize("mode, singular", [(m, False) for m in MODES] + [("cdgm", True)],
+                         ids=[*MODES, "cdgm-singular"])
+def test_one_block_is_the_one_tape_reference_bit_for_bit(mode, singular):
+    """Within the bound, training and scoring run one block, equal to the one-tape reference in every bit."""
+    rng = np.random.default_rng(5)
+    docs = [random_doc(rng, k, f"d{k}") for k in (5, 1, 9, 2, 13)]
+    assert len(list(record_blocks([len(doc.mentions) for doc in docs]))) == 1
+    model = model_for(mode, seed=5, singular=singular)
+    model.zero_grads()
+    tape = Tape()
+    loss, want = batch_loss_node(docs, model, tape)
+    tape.backward(loss)
+    tape.release()
+    grads = grads_of(model)
+    model.zero_grads()
+    assert np.array_equal(record_losses(docs, model), want)
+    for name, g in grads_of(model).items():
+        assert np.array_equal(g, grads[name]), name
+
+    # 45 mentions: 990 pairs, the longest document one block holds at the default bound.
+    for doc in docs + [random_doc(rng, 45, "d45")]:
+        node = score_batch_node([doc], model, Tape(record=False))[0]
+        assert np.array_equal(score_document(doc, model).flat, np.zeros(0) if node is None else node.value)
+
+
 class BlockedRun:
-    """``grad_check``'s (tape, loss) for a blocked step: its backward runs ``train_blocks``."""
+    """``grad_check``'s (tape, loss) for a blocked step: its backward runs ``record_losses``."""
 
     def __init__(self, doc, model):
         self.doc, self.model = doc, model
@@ -106,7 +138,7 @@ class BlockedRun:
         pass
 
     def backward(self, loss):
-        train_blocks(self.doc, self.model)
+        record_losses([self.doc], self.model)
 
 
 def test_blocked_gradient_vs_finite_differences(monkeypatch):
@@ -204,8 +236,8 @@ def test_one_block_tape_lives_at_a_time(monkeypatch):
         dead = all(probe() is None for probe in probes)
     finally:
         gc.enable()
-    # Two blocked documents (an encoder tape each, plus their blocks) and one packed record.
-    assert len(probes) == 2 + len(row_blocks(12)) + len(row_blocks(20)) + 1
+    # One record per document at budget 0: an encoder tape each, plus its blocks (the 3-mention one has one).
+    assert len(probes) == sum(1 + len(list(record_blocks([k]))) for k in (12, 20, 3))
     assert dead and max(alive_at_new) <= 1
 
 
@@ -223,10 +255,15 @@ def test_long_workloads_run_traced_through_blocks(monkeypatch, workload):
     monkeypatch.setattr(pair_model, "BLOCK_PAIRS", 8)
     monkeypatch.setattr(training, "PAIR_BUDGET", 8)
     scored, trained = [], []
-    row_blocks_, train_blocks_ = pair_model.row_blocks, training.train_blocks
+    row_blocks_, record_blocks_ = pair_model.row_blocks, training.record_blocks
     monkeypatch.setattr(pair_model, "row_blocks", lambda k: scored.append(k) or row_blocks_(k))
-    monkeypatch.setattr(training, "train_blocks", lambda *a: trained.append(a) or train_blocks_(*a))
+
+    def counted(ks):
+        trained.append(len(list(record_blocks_(ks))))
+        return record_blocks_(ks)
+
+    monkeypatch.setattr(training, "record_blocks", counted)
     record = workloads.run_child(workload, 1, True, time.clock_gettime(time.CLOCK_MONOTONIC), sizes)
     assert record["failures"] == []
     assert record["failed"] == 0 and record["attempted"] == workloads.planned_docs(workload, sizes)
-    assert scored and (trained or workload == "long-predict")
+    assert scored and (workload == "long-predict" or max(trained) > 1)

@@ -176,6 +176,14 @@ class TestConfigKeys:
         ("gen", "gen.tokens=[15.5, 24]", "gen.tokens", "must be a list of two integers, got [15.5, 24]"),
         ("gen", "gen.mentions=4", "gen.mentions", "must be a list of two integers, got 4"),
         ("gradcheck", "gradcheck.dims.p=true", "gradcheck.dims.p", "must be an integer, got true"),
+        ("gradcheck", "seed=1.5", "seed", "must be an integer, got 1.5"),
+        ("gen", 'gen.docs={"train": 3.7, "dev": 3, "test": 4}', "gen.docs.train", "must be an integer, got 3.7"),
+        ("gen", 'gen.docs={"train": true, "dev": 3, "test": 4}', "gen.docs.train", "must be an integer, got true"),
+        ("gen", "gen.docs=5", "gen.docs", "must be an object, got 5"),
+        ("gen", 'gen.train_accuracy.Type="high"', "gen.train_accuracy.Type", 'must be a number, got "high"'),
+        ("train", "noise.Tense=true", "noise.Tense", "must be a number, got true"),
+        ("experiment", "experiment.seeds=[1, 1.5]", "experiment.seeds.1", "must be an integer, got 1.5"),
+        ("experiment", "experiment.seeds=3", "experiment.seeds", "must be a list, got 3"),
     ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, command, assignment, key, got):
         """Typed readers name the dotted key and never coerce: 8.9 is not read as 8, nor "no" as true."""

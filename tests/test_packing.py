@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evcoref import training
+from evcoref import pair_model, training
 from evcoref.autodiff import Tape
 from evcoref.corpus import Document, FeatureSchema, GenConfig, Mention, generate_corpus
 from evcoref.encoder import build_vocab
@@ -174,12 +174,17 @@ class TestPackedTraining:
         report = full_model_grad_check(model, docs, corrupt="embed.Type")
         assert not report.ok and report.errors["embed.Type"] > 0.1
 
-    @pytest.mark.parametrize("budget", [training.PAIR_BUDGET, 12])
-    def test_fixed_seed_artifacts_byte_identical(self, tmp_path, monkeypatch, budget):
-        """Criterion 10 for the trainer: history and model bytes repeat, whole batches or split ones."""
+    @pytest.mark.parametrize("budget, block", [(training.PAIR_BUDGET, None), (12, None), (training.PAIR_BUDGET, 2)],
+                             ids=[str(training.PAIR_BUDGET), "12", "row-blocks"])
+    def test_fixed_seed_artifacts_byte_identical(self, tmp_path, monkeypatch, budget, block):
+        """Criterion 10 for the trainer: history and model bytes repeat, whole batches, split ones or row blocks."""
         monkeypatch.setattr(training, "PAIR_BUDGET", budget)
         cfg = GenConfig(n_docs=10, tokens=(18, 30), mentions=(3, 6), clusters=(2, 3), vocab_size=40, seed=2)
         docs = generate_corpus(cfg, SCHEMA, "train")
+        if block is not None:
+            # Below every document's pairs: each trains alone, in several blocks of antecedent rows.
+            monkeypatch.setattr(pair_model, "BLOCK_PAIRS", block)
+            assert all(len(list(pair_model.record_blocks([len(doc.mentions)]))) > 1 for doc in docs)
         out = []
         for run in ("a", "b"):
             model = CorefModel(SCHEMA, build_vocab(docs), "cdgm", DIMS, seed=2)
@@ -194,14 +199,14 @@ class TestPackedTraining:
         cfg = GenConfig(n_docs=6, tokens=(18, 30), mentions=(3, 5), clusters=(2, 3), vocab_size=40, seed=3)
         docs = generate_corpus(cfg, SCHEMA, "train")
         seen = []
-        real = training.batch_loss_node
+        real = training.record_losses
 
-        def spy(group, model, tape):
-            loss, losses = real(group, model, tape)
+        def spy(group, model):
+            losses = real(group, model)
             seen.extend(float(v) for v in losses)
-            return loss, losses
+            return losses
 
-        monkeypatch.setattr(training, "batch_loss_node", spy)
+        monkeypatch.setattr(training, "record_losses", spy)
         model = CorefModel(SCHEMA, build_vocab(docs), "simple", DIMS, seed=3)
         history = train(model, docs, TrainConfig(epochs=1, seed=3, batch_size=4))
         total = 0.0

@@ -21,7 +21,6 @@ from evcoref.training import (
     apply_noise,
     document_loss_node,
     full_model_grad_check,
-    gold_antecedents,
     gradcheck_instance,
     train,
     warm_to_loss,
@@ -88,21 +87,6 @@ class TestApplyNoise:
     def test_default_table_follows_schema_order(self):
         noise = NoiseConfig.for_schema(SCHEMA)
         assert noise.epsilons == (0.0, 0.0, 0.15, 0.15, 0.25)
-
-
-class TestGoldAntecedents:
-    def test_first_mention_dummy(self):
-        assert gold_antecedents(0, [0, 0, 1]) == []
-
-    def test_no_coreferent_predecessor(self):
-        assert gold_antecedents(2, [0, 0, 1]) == []
-
-    def test_all_predecessors(self):
-        assert gold_antecedents(2, [0, 0, 0]) == [0, 1]
-
-    def test_missing_gold_rejected(self):
-        with pytest.raises(ValueError):
-            gold_antecedents(1, [0, None])
 
 
 class TestAntecedentNll:
@@ -269,16 +253,17 @@ class TestTrain:
         return len(probes), dead, alive_at_new
 
     def test_tapes_freed_without_collector(self, monkeypatch):
-        """Each packed batch's tape dies by reference count before the next is made."""
+        """Each packed batch's tapes die by reference count before the next are made."""
         made, dead, alive_at_new = self.tracked_tapes(monkeypatch, training.PAIR_BUDGET)
-        assert made == 2 and dead
-        # The previous step's tape is still bound to the loop's local name.
+        # Per record, one encoder tape and one block tape.
+        assert made == 2 * 2 and dead
+        # A block tape is made while its record's encoder tape is alive.
         assert max(alive_at_new) <= 1
 
     def test_tapes_over_budget_freed_without_collector(self, monkeypatch):
         """With no document under the pair budget, each trains on its own tape, freed the same way."""
         made, dead, alive_at_new = self.tracked_tapes(monkeypatch, 0)
-        assert made == 4 and dead
+        assert made == 4 * 2 and dead
         assert max(alive_at_new) <= 1
 
 
